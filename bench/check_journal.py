@@ -15,7 +15,8 @@ Usage:
 
 --self-test additionally verifies the gate has teeth by corrupting the
 parsed journal in several ways (broken framing, a seq gap, a missing
-payload field) and failing unless each corruption is detected.
+payload field, a span without dur_us) and failing unless each corruption
+is detected.
 
 Exits non-zero listing every violation.
 """
@@ -46,6 +47,8 @@ REQUIRED_FIELDS = {
     "front-enter": {"config", "front"},
     "front-evict": {"config", "front", "by"},
     "progress": {"phase", "done", "total", "front_size"},
+    # A closed TRACE_SPAN scope or a server connection's lifetime.
+    "span": {"name", "start_us", "dur_us", "track"},
     # Distributed DSE (src/cluster/Cluster.cpp, docs/cluster.md).
     "cluster-begin": {"workers", "shards", "space", "strategy", "limit"},
     "cluster-end": {"ok", "shards_done", "retries", "reassignments",
@@ -163,6 +166,18 @@ def self_test(records):
         return problems
     if not check(stripped):
         problems.append("self-test: a missing payload field not detected")
+
+    # A span without its duration, in a minimal framed journal (spans
+    # need not be the record the corruption above happened to strip).
+    span = {"name": "dse.chunk", "start_us": 1, "dur_us": 2, "track": "t"}
+    def framed(payload):
+        return [{"seq": 0, "ts_us": 0, "kind": "journal-begin", "schema": 1},
+                {"seq": 1, "ts_us": 1, "kind": "span", **payload},
+                {"seq": 2, "ts_us": 3, "kind": "journal-end", "events": 3}]
+    if check(framed(span)):
+        problems.append("self-test: a well-formed span was rejected")
+    if not check(framed({k: v for k, v in span.items() if k != "dur_us"})):
+        problems.append("self-test: a span without dur_us not detected")
     return problems
 
 

@@ -23,7 +23,7 @@ default requests_per_sec) to stay within --overhead-tolerance
   * tracing: BENCH_service.json from a -DDAHLIA_ENABLE_TRACE=OFF
     build vs the default instrumented build (tracing compiled in but
     not enabled) — the "near-zero cost when disabled" contract of
-    src/support/Trace.h;
+    TRACE_SPAN in src/support/EventLog.h;
   * the search journal: BENCH_fig7 configs_per_sec with the journal
     off vs on (--overhead-key configs_per_sec --overhead-tolerance
     0.05) — an *enabled* journal may cost a fig7 sweep at most 5%.

@@ -29,9 +29,10 @@
 //   --json PATH     write metrics + front (default: BENCH_fig7_dse.json)
 //   --cache-dir D   persist the memo cache under D (e.g. .dahlia-cache);
 //                   a second run then starts warm and reports the hit rate
-//   --trace-out F   record spans (DSE workers, rung passes, cache I/O) and
-//                   write Chrome trace-event JSON to F at exit — load it
-//                   in Perfetto (see docs/observability.md)
+//   --trace-out F   record spans (DSE workers, rung passes, cache I/O) into
+//                   the journal and write them as Chrome trace-event JSON
+//                   to F at exit — load it in Perfetto (see
+//                   docs/observability.md)
 //   --journal-out F record the structured JSONL search journal to F;
 //                   explain it afterwards with dahlia-dse-report (funnel,
 //                   why-pruned, front timeline, --assert-consistent)
@@ -42,11 +43,11 @@
 
 #include "BenchUtil.h"
 
+#include "dse/Journal.h"
 #include "dse/SearchStrategy.h"
 #include "kernels/Kernels.h"
 #include "service/PersistentCache.h"
 #include "support/EventLog.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <cstdlib>
@@ -109,7 +110,6 @@ int main(int Argc, char **Argv) {
       CacheDir = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--trace-out") && I + 1 < Argc) {
       TraceOut = Argv[++I];
-      trace::traceEnable();
     } else if (!std::strcmp(Argv[I], "--journal-out") && I + 1 < Argc) {
       JournalOut = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--progress")) {
@@ -120,6 +120,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "fig7: cannot write journal '%s'\n", JournalOut);
     return 2;
   }
+  if (TraceOut && !JournalOut)
+    eventlog::journalStartBuffered();
   if (Progress)
     Opts.OnProgress = [](const dse::DseProgress &P) {
       std::fprintf(stderr,
@@ -146,15 +148,6 @@ int main(int Argc, char **Argv) {
   dse::DseProblem Problem = gemmBlockedProblem();
   dse::DseResult R = dse::DseEngine(Opts).explore(Problem);
   const dse::DseStats &St = R.Stats;
-
-  if (JournalOut) {
-    eventlog::journalStop();
-    std::printf("journal written to %s (%llu events; explain with "
-                "dahlia-dse-report)\n",
-                JournalOut,
-                static_cast<unsigned long long>(
-                    eventlog::journalEventCount()));
-  }
 
   if (Persist && !Persist->save(*Opts.Cache))
     std::fprintf(stderr, "fig7: warning: failed to save cache to %s\n",
@@ -295,10 +288,18 @@ int main(int Argc, char **Argv) {
     std::printf("metrics written to %s\n", JsonPath);
   }
   if (TraceOut && *TraceOut) {
-    if (trace::traceWriteFile(TraceOut))
+    if (dse::journal::writeSpanTrace(TraceOut, JournalOut ? JournalOut : ""))
       std::printf("trace written to %s\n", TraceOut);
     else
       std::fprintf(stderr, "fig7: cannot write trace '%s'\n", TraceOut);
+  }
+  if (JournalOut) {
+    eventlog::journalStop();
+    std::printf("journal written to %s (%llu events; explain with "
+                "dahlia-dse-report)\n",
+                JournalOut,
+                static_cast<unsigned long long>(
+                    eventlog::journalEventCount()));
   }
   return 0;
 }

@@ -25,8 +25,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dse/Journal.h"
 #include "fuzz/Differential.h"
-#include "support/Trace.h"
+#include "support/EventLog.h"
 
 #include <algorithm>
 #include <chrono>
@@ -196,7 +197,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (TraceOut)
-    trace::traceEnable();
+    eventlog::journalStartBuffered();
 
   int Rc = 0;
   if (SelfTest) {
@@ -283,7 +284,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (TraceOut && !trace::traceWriteFile(TraceOut))
+  if (TraceOut && !dse::journal::writeSpanTrace(TraceOut))
     std::fprintf(stderr, "dahlia-fuzz: trace write failed: %s\n", TraceOut);
   return Rc;
 }

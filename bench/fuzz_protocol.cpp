@@ -23,8 +23,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dse/Journal.h"
 #include "fuzz/ProtoFuzz.h"
-#include "support/Trace.h"
+#include "support/EventLog.h"
 
 #include <chrono>
 #include <cstdio>
@@ -152,7 +153,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (TraceOut)
-    trace::traceEnable();
+    eventlog::journalStartBuffered();
 
   int Rc = 0;
   if (SelfTest) {
@@ -204,7 +205,7 @@ int main(int Argc, char **Argv) {
       Rc = 1;
   }
 
-  if (TraceOut && !trace::traceWriteFile(TraceOut))
+  if (TraceOut && !dse::journal::writeSpanTrace(TraceOut))
     std::fprintf(stderr, "dahlia-fuzz-proto: trace write failed: %s\n",
                  TraceOut);
   return Rc;

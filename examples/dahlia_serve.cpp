@@ -23,10 +23,10 @@
 //                                     (default 256)
 //   ... --stats                       print lifetime stats JSON to stderr
 //                                     at exit
-//   ... --trace-out FILE              record spans and write a Chrome
-//                                     trace-event JSON file at shutdown
-//                                     (load it in Perfetto; see
-//                                     docs/observability.md)
+//   ... --trace-out FILE              record spans into the journal and
+//                                     write them as a Chrome trace-event
+//                                     JSON file at shutdown (load it in
+//                                     Perfetto; see docs/observability.md)
 //   ... --metrics-port P              serve the metrics registry on
 //                                     127.0.0.1:P (0 picks an ephemeral
 //                                     port, announced on stderr): an HTTP
@@ -56,10 +56,10 @@
 
 #include "service/TcpServer.h"
 
+#include "dse/Journal.h"
 #include "support/EventLog.h"
 #include "support/Metrics.h"
 #include "support/Socket.h"
-#include "support/Trace.h"
 
 #include <atomic>
 #include <cerrno>
@@ -263,13 +263,13 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!TraceOut.empty())
-    trace::traceEnable();
   if (!JournalOut.empty() && !eventlog::journalStart(JournalOut)) {
     std::fprintf(stderr, "dahlia-serve: cannot write journal '%s'\n",
                  JournalOut.c_str());
     return 2;
   }
+  if (!TraceOut.empty() && JournalOut.empty())
+    eventlog::journalStartBuffered();
 
   if (MetricsPort >= 0) {
     int MetricsFd = listenLoopback(MetricsPort);
@@ -311,12 +311,11 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "%s\n", Svc.stats().toJson().dump().c_str());
   } // ~CompileService saves the persistent cache.
 
-  if (!JournalOut.empty())
+  // Stop after the service is destroyed so the shutdown cache-save spans
+  // make it into the journal and the trace.
+  if (TraceOut.empty()) {
     eventlog::journalStop();
-
-  // Flush after the service is destroyed so the shutdown cache-save spans
-  // make it into the trace.
-  if (!TraceOut.empty() && !trace::traceWriteFile(TraceOut)) {
+  } else if (!dse::journal::writeSpanTrace(TraceOut, JournalOut)) {
     std::fprintf(stderr, "dahlia-serve: cannot write trace '%s'\n",
                  TraceOut.c_str());
     Rc = Rc ? Rc : 1;

@@ -31,11 +31,11 @@
 
 #include "driver/CompilerPipeline.h"
 #include "driver/SpecExtractor.h"
+#include "dse/Journal.h"
 #include "filament/Interp.h"
 #include "filament/Syntax.h"
 #include "service/Protocol.h"
 #include "support/EventLog.h"
-#include "support/Trace.h"
 
 #include <cstdio>
 #include <cstring>
@@ -58,25 +58,18 @@ int usage() {
   return 2;
 }
 
-/// Flushes the span buffers to --trace-out on every exit path.
-struct TraceOutput {
-  std::string Path;
-  ~TraceOutput() {
-    if (Path.empty())
-      return;
-    if (!trace::traceWriteFile(Path))
-      std::fprintf(stderr, "dahliac: cannot write trace '%s'\n",
-                   Path.c_str());
-  }
-};
-
-/// Closes the --journal-out search journal on every exit path, so even a
-/// failed compile leaves a well-framed (begin/end) file behind.
+/// Closes the journal on every exit path, so even a failed compile leaves
+/// a well-framed (begin/end) --journal-out file behind, and renders the
+/// journal's spans to --trace-out.
 struct JournalOutput {
-  bool Active = false;
+  std::string JournalPath, TracePath;
   ~JournalOutput() {
-    if (Active)
+    if (TracePath.empty()) {
       eventlog::journalStop();
+    } else if (!dse::journal::writeSpanTrace(TracePath, JournalPath)) {
+      std::fprintf(stderr, "dahliac: cannot write trace '%s'\n",
+                   TracePath.c_str());
+    }
   }
 };
 
@@ -123,7 +116,6 @@ int main(int Argc, char **Argv) {
   std::string KernelName = "kernel";
   bool Time = false;
   bool EmitJson = false;
-  TraceOutput TraceOut;
   JournalOutput JournalOut;
   enum { EmitCpp, CheckOnly, Lower, Run, Estimate, Simulate } Mode = EmitCpp;
 
@@ -146,15 +138,14 @@ int main(int Argc, char **Argv) {
     } else if (!std::strcmp(Argv[I], "--json")) {
       EmitJson = true;
     } else if (!std::strcmp(Argv[I], "--trace-out") && I + 1 < Argc) {
-      TraceOut.Path = Argv[++I];
-      trace::traceEnable();
+      JournalOut.TracePath = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--journal-out") && I + 1 < Argc) {
       if (!eventlog::journalStart(Argv[++I])) {
         std::fprintf(stderr, "dahliac: cannot write journal '%s'\n",
                      Argv[I]);
         return 2;
       }
-      JournalOut.Active = true;
+      JournalOut.JournalPath = Argv[I];
     } else if (!std::strcmp(Argv[I], "-o") && I + 1 < Argc) {
       OutFile = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--kernel") && I + 1 < Argc) {
@@ -169,6 +160,8 @@ int main(int Argc, char **Argv) {
   }
   if (!File)
     return usage();
+  if (!JournalOut.TracePath.empty() && !eventlog::journalActive())
+    eventlog::journalStartBuffered();
 
   std::ifstream In(File);
   if (!In) {

@@ -11,7 +11,6 @@
 #include "support/EventLog.h"
 #include "support/Metrics.h"
 #include "support/Socket.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <cerrno>

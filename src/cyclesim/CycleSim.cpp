@@ -8,9 +8,9 @@
 #include "cyclesim/CycleSim.h"
 
 #include "hlsim/KernelAnalysis.h"
+#include "support/EventLog.h"
 #include "support/Metrics.h"
 #include "support/StableHash.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>

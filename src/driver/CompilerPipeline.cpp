@@ -10,8 +10,8 @@
 #include "driver/SpecExtractor.h"
 #include "parser/Parser.h"
 #include "sema/TypeChecker.h"
+#include "support/EventLog.h"
 #include "support/Metrics.h"
-#include "support/Trace.h"
 
 #include <chrono>
 #include <sstream>

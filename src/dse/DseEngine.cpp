@@ -11,7 +11,6 @@
 #include "support/EventLog.h"
 #include "support/Metrics.h"
 #include "support/StableHash.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <chrono>
@@ -190,14 +189,14 @@ void ProgressSink::beginPhase(const char *Ph, size_t T) {
   Total = T;
   Done.store(0, std::memory_order_relaxed);
   LastDone = 0;
-  LastTickUs = trace::nowUs();
+  LastTickUs = eventlog::nowUs();
   // Phase boundaries always tick: watchers see every strategy step even
   // when a phase finishes inside one interval.
   maybeTick(/*Force=*/true);
 }
 
 void ProgressSink::maybeTick(bool Force) {
-  uint64_t Now = trace::nowUs();
+  uint64_t Now = eventlog::nowUs();
   double Since = static_cast<double>(Now - LastTickUs) / 1e6;
   if (!Force && Since < IntervalSec)
     return;

@@ -7,11 +7,14 @@
 
 #include "dse/Journal.h"
 
+#include "support/EventLog.h"
+
 #include <algorithm>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace dahlia::dse::journal {
 
@@ -337,39 +340,46 @@ Json SearchJournal::whyPruned(uint64_t Config) const {
 }
 
 std::string SearchJournal::chromeTrace() const {
-  std::string Out = "[";
-  bool First = true;
-  auto Add = [&](const Json &J) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\n";
-    Out += J.dump();
+  Json::Array Out;
+  auto Add = [&Out](const std::string &Name, const char *Ph, int64_t Tid,
+                    Json Args) -> Json & {
+    Json E = Json::object();
+    E["name"] = Name;
+    E["ph"] = Ph;
+    E["pid"] = 1;
+    E["tid"] = Tid;
+    if (!Args.isNull())
+      E["args"] = std::move(Args);
+    return Out.emplace_back(std::move(E));
   };
-  auto Counter = [&](const std::string &Name, int64_t Ts,
-                     const std::string &Key, double Value) {
-    Json C = Json::object();
-    C["name"] = Name;
-    C["ph"] = "C";
-    C["ts"] = Ts;
-    C["pid"] = 1;
-    C["tid"] = 1;
-    Json Args = Json::object();
-    Args[Key] = Value;
-    C["args"] = Args;
-    Add(C);
+  auto Arg = [](const char *Key, Json V) {
+    Json A = Json::object();
+    A[Key] = std::move(V);
+    return A;
   };
+  // Each span track is its own row, numbered in order of appearance;
+  // the search events share row 1.
+  std::map<std::string, int64_t> Tids;
   std::map<std::string, size_t> FrontSize;
+  bool SearchRow = false;
   for (const Event &E : Events) {
-    Json T = Json::object();
-    T["name"] = E.Kind;
-    T["ph"] = "i";
+    if (E.Kind == "span") {
+      const std::string &Track = E.Fields.at("track").asString();
+      auto [It, New] =
+          Tids.emplace(Track, static_cast<int64_t>(Tids.size()) + 2);
+      if (New)
+        Add("thread_name", "M", It->second, Arg("name", Track));
+      Json &X = Add(E.Fields.at("name").asString(), "X", It->second,
+                    E.TraceId ? Arg("trace_id", E.TraceId) : Json());
+      X["ts"] = E.Fields.at("start_us");
+      X["dur"] = E.Fields.at("dur_us");
+      continue;
+    }
+    if (!std::exchange(SearchRow, true))
+      Add("thread_name", "M", 1, Arg("name", "search-journal"));
+    Json &T = Add(E.Kind, "i", 1, payload(E));
     T["ts"] = E.TsUs;
-    T["pid"] = 1;
-    T["tid"] = 1;
     T["s"] = "g";
-    T["args"] = payload(E);
-    Add(T);
     if (E.Kind == "front-enter" || E.Kind == "front-evict") {
       const std::string &F = E.Fields.at("front").asString();
       size_t &S = FrontSize[F];
@@ -377,14 +387,40 @@ std::string SearchJournal::chromeTrace() const {
         ++S;
       else if (S)
         --S;
-      Counter("front." + F, E.TsUs, "size", static_cast<double>(S));
+      Add("front." + F, "C", 1, Arg("size", S))["ts"] = E.TsUs;
     } else if (E.Kind == "progress") {
-      Counter("dse.configs_per_sec", E.TsUs, "rate",
-              E.Fields.at("configs_per_sec").asDouble());
+      Add("dse.configs_per_sec", "C", 1,
+          Arg("rate", E.Fields.at("configs_per_sec")))["ts"] = E.TsUs;
     }
   }
-  Out += "\n]\n";
-  return Out;
+  Json Root = Json::object();
+  Root["traceEvents"] = Json(std::move(Out));
+  Root["displayTimeUnit"] = "ms";
+  return Root.dump() + "\n";
+}
+
+bool writeSpanTrace(const std::string &TracePath,
+                    const std::string &JournalPath) {
+  eventlog::journalStop();
+  std::vector<std::string> Lines;
+  if (JournalPath.empty()) {
+    Lines = eventlog::journalLines();
+  } else {
+    std::ifstream In(JournalPath);
+    if (!In)
+      return false;
+    for (std::string Line; std::getline(In, Line);)
+      Lines.push_back(std::move(Line));
+  }
+  // Only the envelope can hold the unescaped text "kind":"span" (inside
+  // a payload string its quotes are escaped), so this keeps exactly the
+  // span records.
+  std::erase_if(Lines, [](const std::string &L) {
+    return L.find("\"kind\":\"span\"") == std::string::npos;
+  });
+  std::optional<SearchJournal> J = SearchJournal::parse(Lines);
+  std::ofstream Out(TracePath);
+  return J && Out << J->chromeTrace();
 }
 
 std::vector<std::string> SearchJournal::checkConsistent() const {

@@ -11,8 +11,9 @@
 /// library behind `dahlia-dse-report`: it answers "why was configuration
 /// N pruned?", renders the successive-halving rung funnel, breaks down
 /// cache-hit provenance, reconstructs the Pareto-front evolution
-/// timeline, exports a Chrome trace, and machine-checks the journal's
-/// internal consistency (the `--assert-consistent` CI gate).
+/// timeline, exports a Chrome trace (spans and search events on one
+/// timeline), and machine-checks the journal's internal consistency (the
+/// `--assert-consistent` CI gate).
 ///
 /// A journal may contain several sweeps (fig7 records one per strategy
 /// variant); every query is sweep-scoped except \c whyPruned, which
@@ -90,9 +91,12 @@ public:
   /// "unknown" (never enumerated).
   Json whyPruned(uint64_t Config) const;
 
-  /// Chrome trace-event JSON (chrome://tracing, Perfetto) for the whole
-  /// journal: one instant per record plus counter tracks for front
-  /// sizes and sweep throughput.
+  /// Chrome trace-event JSON (`{"traceEvents":[...]}`, for Perfetto and
+  /// chrome://tracing) for the whole journal: each `span` record is a
+  /// complete (`ph:"X"`) event on its track's row, named by `ph:"M"`
+  /// `thread_name` metadata; every other record is an instant on the
+  /// search-journal row, plus counter tracks for front sizes and sweep
+  /// throughput. This is the repository's only Chrome exporter.
   std::string chromeTrace() const;
 
   /// Machine-checks the whole journal; returns violations (empty means
@@ -114,6 +118,14 @@ private:
   std::vector<SweepRange> Sweeps;
   int Schema = 0;
 };
+
+/// A binary's `--trace-out`: stops the process journal and writes its
+/// `span` records — read back from \p JournalPath when the journal went
+/// to a file, else the buffered journal — to \p TracePath as a Chrome
+/// trace holding only `ph:"X"` spans and their `ph:"M"` track names.
+/// Returns false when a file cannot be read or written.
+bool writeSpanTrace(const std::string &TracePath,
+                    const std::string &JournalPath = std::string());
 
 } // namespace dahlia::dse::journal
 

@@ -11,7 +11,6 @@
 #include "support/EventLog.h"
 #include "support/Metrics.h"
 #include "support/StableHash.h"
-#include "support/Trace.h"
 #include "support/WorkStealingPool.h"
 
 #include <algorithm>
@@ -93,9 +92,9 @@ unsigned parallelOver(const SearchContext &Ctx, size_t N, BodyT &&Body) {
     Threads = static_cast<unsigned>(std::max<size_t>(N, 1));
   workStealingFor(N, Threads, Ctx.Grain,
                   [&Body, &Ctx](unsigned W, size_t B, size_t E) {
-                    if (trace::enabled())
-                      trace::traceSetThreadNameIfUnset("dse-worker-" +
-                                                       std::to_string(W));
+                    if (eventlog::enabled())
+                      eventlog::setThreadNameIfUnset("dse-worker-" +
+                                                     std::to_string(W));
                     TRACE_SPAN("dse.chunk");
                     Body(W, B, E);
                     if (ProgressSink *PS = Ctx.Progress) {

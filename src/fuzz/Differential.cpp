@@ -10,7 +10,7 @@
 #include "cyclesim/CycleSim.h"
 #include "driver/CompilerPipeline.h"
 #include "hlsim/Estimator.h"
-#include "support/Trace.h"
+#include "support/EventLog.h"
 
 #include <cmath>
 #include <sstream>

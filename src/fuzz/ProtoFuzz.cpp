@@ -14,8 +14,8 @@
 #include "service/Protocol.h"
 #include "service/ServiceClient.h"
 #include "service/TcpServer.h"
+#include "support/EventLog.h"
 #include "support/Socket.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <atomic>

@@ -14,9 +14,9 @@
 #include "kernels/Kernels.h"
 #include "lower/Desugar.h"
 #include "sema/TypeChecker.h"
+#include "support/EventLog.h"
 #include "support/Metrics.h"
 #include "support/StableHash.h"
-#include "support/Trace.h"
 #include "support/WorkStealingPool.h"
 
 #include <algorithm>
@@ -207,7 +207,7 @@ Response CompileService::handle(const Request &R) {
   // span this request opens (pipeline, DSE, cache) carries it.
   uint64_t TraceId =
       R.TraceId ? R.TraceId : NextTraceId.fetch_add(1, std::memory_order_relaxed);
-  trace::TraceIdScope IdScope(TraceId);
+  eventlog::TraceIdScope IdScope(TraceId);
   TRACE_SPAN("service.request");
 
   Response Out;

@@ -7,9 +7,9 @@
 
 #include "service/PersistentCache.h"
 
+#include "support/EventLog.h"
 #include "support/Metrics.h"
 #include "support/StableHash.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <chrono>

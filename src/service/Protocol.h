@@ -135,7 +135,7 @@ struct Request {
   uint64_t WatchCount = 0;
   /// Per-request trace ID. Clients may supply "trace_id"; when absent the
   /// service stamps one. It threads through every span the request opens
-  /// (support/Trace.h) and is echoed in the response, so a slow request
+  /// (support/EventLog.h) and is echoed in the response, so a slow request
   /// in a server-side trace is attributable from the client side alone.
   uint64_t TraceId = 0;
   /// cache-import "cache": the entries to merge, in the cache-export wire

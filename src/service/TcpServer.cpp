@@ -7,9 +7,9 @@
 
 #include "service/TcpServer.h"
 
+#include "support/EventLog.h"
 #include "support/Metrics.h"
 #include "support/Socket.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -68,8 +68,8 @@ bool TcpServer::start(std::string *Err) {
 void TcpServer::run() {
   if (ListenFd < 0)
     return;
-  if (trace::enabled())
-    trace::traceSetThreadName("tcp-server");
+  if (eventlog::enabled())
+    eventlog::setThreadName("tcp-server");
   // Live watch streams: sweeps run serially on this thread (inside
   // dispatchEpochs), so their progress ticks surface here and may touch
   // connection state directly.
@@ -102,7 +102,7 @@ void TcpServer::run() {
     }
     // Idle heartbeat for watch streams whose interval elapsed with no
     // live sweep tick (also what ends a bounded watch on a quiet server).
-    serviceDueWatchers(trace::nowUs());
+    serviceDueWatchers(eventlog::nowUs());
     // Everything read this round — from however many connections were
     // ready — forms the next epoch(s): this is the cross-client
     // coalescing that raises warm throughput.
@@ -146,10 +146,9 @@ void TcpServer::acceptReady() {
     uint64_t Serial = NextSerial++;
     Connection &C = Conns[Serial];
     C.Fd = Fd;
-    // Each connection gets its own named trace track; its lifetime span
-    // is emitted at close so Perfetto shows one row per client.
-    C.TrackId = trace::traceMakeTrack("conn-" + std::to_string(Serial));
-    C.AcceptUs = C.TrackId ? trace::nowUs() : 0;
+    // Each connection's lifetime span is emitted at close on its own
+    // "conn-N" track, so Perfetto shows one row per client.
+    C.AcceptUs = eventlog::nowUs();
     static metrics::Counter &AcceptedC =
         metrics::counter("server.connections_accepted");
     AcceptedC.inc();
@@ -170,10 +169,10 @@ void TcpServer::closeConnection(uint64_t Serial) {
   auto It = Conns.find(Serial);
   if (It == Conns.end())
     return;
-  if (It->second.TrackId)
-    trace::traceSpanOnTrack(It->second.TrackId, "server.connection",
-                            It->second.AcceptUs,
-                            trace::nowUs() - It->second.AcceptUs);
+  if (eventlog::enabled())
+    eventlog::emitSpan("server.connection", It->second.AcceptUs,
+                       eventlog::nowUs() - It->second.AcceptUs,
+                       "conn-" + std::to_string(Serial));
   static metrics::Counter &ClosedC =
       metrics::counter("server.connections_closed");
   ClosedC.inc();
@@ -362,7 +361,7 @@ void TcpServer::dispatchEpochs() {
                            ? static_cast<uint64_t>(E.Req->WatchIntervalMs *
                                                    1000)
                            : 250000;
-        W.NextDueUs = trace::nowUs();
+        W.NextDueUs = eventlog::nowUs();
         W.Bounded = E.Req->WatchCount > 0;
         W.Remaining = E.Req->WatchCount;
         Watchers.push_back(std::move(W));
@@ -421,7 +420,7 @@ bool TcpServer::hasWatcher(uint64_t Serial) const {
 int TcpServer::pollTimeoutMs() const {
   if (Watchers.empty())
     return -1;
-  uint64_t Now = trace::nowUs();
+  uint64_t Now = eventlog::nowUs();
   uint64_t MinDue = UINT64_MAX;
   for (const Watcher &W : Watchers)
     MinDue = std::min(MinDue, W.NextDueUs);
@@ -444,7 +443,7 @@ void TcpServer::onProgress(const Json &Rec) {
   }
   if (Watchers.empty())
     return;
-  deliverProgress(Rec, trace::nowUs());
+  deliverProgress(Rec, eventlog::nowUs());
 }
 
 void TcpServer::serviceDueWatchers(uint64_t NowUs) {

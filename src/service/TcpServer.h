@@ -126,8 +126,7 @@ private:
 
   struct Connection {
     int Fd = -1;
-    uint64_t TrackId = 0;       ///< Synthetic trace track (0 = tracing off).
-    uint64_t AcceptUs = 0;      ///< Accept time on the tracing clock.
+    uint64_t AcceptUs = 0;      ///< Accept time on the journal clock.
     bool Stalled = false;       ///< Currently read-side back-pressured.
     std::string InBuf;          ///< Read bytes not yet framed into lines.
     size_t PendingLines = 0;    ///< Framed lines not yet dispatched.

@@ -1,4 +1,4 @@
-//===- EventLog.h - Structured JSONL search journal -------------*- C++ -*-===//
+//===- EventLog.h - Structured JSONL event journal --------------*- C++ -*-===//
 //
 // Part of dahlia-cpp, a reproduction of "Predictable Accelerator Design with
 // Time-Sensitive Affine Types" (PLDI 2020).
@@ -6,27 +6,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The DSE flight recorder: an append-only, schema-versioned JSONL
-/// journal of search events. Every layer of the exploration stack emits
-/// per-config lifecycle records through it — enumerated, rung
-/// promotion, estimates at each fidelity (with cache provenance),
-/// prunes with machine-readable reasons, Pareto-front entries and
-/// evictions — and `dahlia-dse-report` replays the file to answer
-/// "why was config X pruned" or "how did the front evolve" without
-/// re-running the sweep.
+/// The process's one recorder: an append-only, schema-versioned JSONL
+/// journal. The exploration stack emits per-config lifecycle records
+/// through it — enumerated, rung promotion, estimates at each fidelity
+/// (with cache provenance), prunes with machine-readable reasons,
+/// Pareto-front entries and evictions — and every layer brackets its
+/// interesting regions with \c TRACE_SPAN, one `span` record per closed
+/// scope. So a span sits on the same timeline as the prune it paid for;
+/// `dahlia-dse-report` replays the file, and \c SearchJournal::chromeTrace
+/// (dse/Journal.h) renders it for Perfetto.
 ///
-/// Cost model (mirrors support/Trace.h):
+/// Cost model:
 ///
 ///   * disabled (the default): one relaxed atomic load and a branch per
 ///     call site — callers guard record construction behind
-///     \c eventlog::enabled(), so nothing allocates;
+///     \c eventlog::enabled(), and a disabled span reads no clock, so
+///     nothing allocates;
 ///   * enabled: the emitting thread serializes its record into a small
-///     string (one allocation), stamps seq / ts_us / trace_id under the
-///     journal mutex, and appends to a bounded in-memory ring that a
-///     background thread drains to the file. When the ring is full the
-///     emitter waits for the flusher (journal completeness beats
-///     dropping; `journal.stalls` counts how often that back-pressure
-///     bites).
+///     string, stamps seq / ts_us / trace_id under the journal mutex,
+///     and appends to a bounded ring that a background thread drains to
+///     the file. When the ring is full the emitter waits for the flusher
+///     (`journal.stalls` counts it). A buffered journal keeps every
+///     record in memory, except spans past 2^18 per thread
+///     (`journal.dropped_spans`).
 ///
 /// Records look like
 ///
@@ -34,14 +36,15 @@
 ///    "config":4211,"fidelity":"medium","cache_hit":true}
 ///
 /// `seq` is a strictly increasing journal-wide sequence number, `ts_us`
-/// is on the trace::nowUs() clock so journal events line up with PR-7
-/// spans, and `trace_id` (present when nonzero) is the emitting
-/// thread's trace::currentTraceId(). The first record of every journal
-/// is `journal-begin` carrying `schema` (kSchemaVersion); the last is
+/// is on the nowUs() clock (as are a span's `start_us`/`dur_us`), and
+/// `trace_id` (present when nonzero) is the emitting thread's
+/// currentTraceId(). The first record of every journal is
+/// `journal-begin` carrying `schema` (kSchemaVersion); the last is
 /// `journal-end` carrying the final event count. Event kinds and their
 /// fields are documented in docs/observability.md, and
 /// docs/check_docs.py scrapes every `eventlog::emit("...")` literal
-/// under src/ to keep that table honest.
+/// under src/ to keep that table honest. Building with
+/// -DDAHLIA_ENABLE_TRACE=OFF compiles \c TRACE_SPAN away entirely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,12 +117,14 @@ inline void emit(const char *Kind, Record &&R) { emit(Kind, R); }
 /// stopped first.
 bool journalStart(const std::string &Path);
 
-/// Starts an in-memory journal (tests): records accumulate in the ring
-/// and are retrieved with journalLines() after journalStop().
+/// Starts an in-memory journal, read with journalLines() after
+/// journalStop().
 void journalStartBuffered();
 
-/// Emits `journal-end`, drains the ring, joins the flusher, and
-/// disables. Safe to call when no journal is active.
+/// Emits `journal-end` and closes the journal in one critical section (a
+/// racing record lands before the trailer and is counted, or is
+/// dropped), then drains the ring and joins the flusher. Safe to call
+/// when no journal is active.
 void journalStop();
 
 /// True between journalStart*() and journalStop().
@@ -133,6 +138,86 @@ uint64_t journalEventCount();
 /// journalStop()). File-mode journals return an empty vector.
 std::vector<std::string> journalLines();
 
+//===----------------------------------------------------------------------===//
+// Spans
+//===----------------------------------------------------------------------===//
+
+/// Microseconds on the journal clock (monotonic, process-relative).
+uint64_t nowUs();
+
+/// The calling thread's trace ID; records emitted while it is nonzero
+/// carry `"trace_id"` in their envelope. Set via TraceIdScope.
+uint64_t currentTraceId();
+
+/// RAII: sets the calling thread's trace ID for the scope's duration,
+/// restoring the previous one on exit.
+class TraceIdScope {
+public:
+  explicit TraceIdScope(uint64_t Id);
+  ~TraceIdScope();
+
+  TraceIdScope(const TraceIdScope &) = delete;
+  TraceIdScope &operator=(const TraceIdScope &) = delete;
+
+private:
+  uint64_t Prev;
+};
+
+/// Labels the calling thread's spans ("dse-worker-3", "tcp-server").
+/// An unnamed thread's spans carry "thread-N".
+void setThreadName(const std::string &Name);
+
+/// Labels the calling thread only if it has no name yet. Pool workers
+/// claim their label this way: the work-stealing pool enlists the
+/// calling thread as worker 0, and an already-named host thread (the
+/// server's event loop) must keep its identity.
+void setThreadNameIfUnset(const std::string &Name);
+
+/// Emits one `span` record: \p Name over [\p StartUs, \p StartUs +
+/// \p DurUs) on the nowUs() clock, on track \p Track — the calling
+/// thread's name when empty, or a track for something that is not a
+/// thread (a server connection's "conn-N"). No-op when the journal is off.
+void emitSpan(const char *Name, uint64_t StartUs, uint64_t DurUs,
+              const std::string &Track = std::string());
+
+/// RAII span: records [construction, destruction) on the calling
+/// thread's track. \p Name must outlive the span (string literals). A
+/// span opened while the journal is off, or closed after it stops, is
+/// not recorded.
+class Span {
+public:
+  explicit Span(const char *Name) {
+    if (enabled())
+      begin(Name);
+  }
+  ~Span() {
+    if (SpanName)
+      end();
+  }
+
+  Span(const Span &) = delete;
+  Span &operator=(const Span &) = delete;
+
+private:
+  // Out of line so a disabled span inlines to one load and a branch.
+  void begin(const char *Name);
+  void end();
+
+  const char *SpanName = nullptr;
+  uint64_t StartUs = 0;
+};
+
 } // namespace dahlia::eventlog
+
+#if defined(DAHLIA_NO_TRACE)
+#define TRACE_SPAN(Name)
+#else
+#define DAHLIA_TRACE_CAT2(A, B) A##B
+#define DAHLIA_TRACE_CAT(A, B) DAHLIA_TRACE_CAT2(A, B)
+/// Brackets the enclosing scope with a named span. Near-zero cost while
+/// the journal is off; compiled away under -DDAHLIA_ENABLE_TRACE=OFF.
+#define TRACE_SPAN(Name)                                                       \
+  ::dahlia::eventlog::Span DAHLIA_TRACE_CAT(TraceSpan_, __LINE__)(Name)
+#endif
 
 #endif // DAHLIA_SUPPORT_EVENTLOG_H

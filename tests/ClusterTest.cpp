@@ -25,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 
@@ -206,8 +208,16 @@ TEST(Cluster, WorkerKilledMidStreamIsRetiredAndSweepStaysExact) {
   constexpr size_t Limit = 200;
   Json Ref = singleMachineSweep(Limit);
 
-  Fleet Honest;
-  ASSERT_TRUE(Honest.add(1));
+  // The honest worker listens but serves nothing until the killer is
+  // retired. Its dialer blocks on the one shard it takes, so the killer
+  // provably gets the first shards, and every one of its attempts fails
+  // until it is declared dead; only then may the honest worker drain
+  // the rest.
+  service::ServiceOptions HSO;
+  HSO.Threads = 2;
+  service::CompileService HonestSvc(HSO);
+  service::TcpServer Honest(HonestSvc);
+  ASSERT_TRUE(Honest.start());
   FaultOptions FO;
   FO.Mode = FaultMode::KillMidStream;
   FO.TriggerConnections = 0; // every sweep dies mid-stream
@@ -219,12 +229,24 @@ TEST(Cluster, WorkerKilledMidStreamIsRetiredAndSweepStaysExact) {
 
   eventlog::journalStartBuffered();
   ClusterOptions O = baseOptions(Limit);
-  O.Workers = Honest.specs();
   WorkerSpec W;
+  W.Port = Honest.port();
+  O.Workers.push_back(W);
   W.Port = Killer.port();
   O.Workers.push_back(W);
   O.Shards = 4;
-  ClusterResult R = ClusterCoordinator(std::move(O)).run();
+  ClusterCoordinator Coord(std::move(O));
+  std::atomic<bool> RunDone{false};
+  std::thread HonestLoop([&] {
+    while (!RunDone.load() &&
+           !Coord.statusJson().at("workers").asArray()[1].at("dead").asBool())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Honest.run();
+  });
+  ClusterResult R = Coord.run();
+  RunDone.store(true);
+  Honest.stop();
+  HonestLoop.join();
   eventlog::journalStop();
   Killer.stop();
 

@@ -5,7 +5,8 @@
 //
 // The flight recorder's contract: disabled emission allocates nothing,
 // concurrent emission loses nothing (dense journal-wide seq numbers, every
-// record present — run under TSan in the nightly CI leg), journals are
+// record present — run under TSan in CI's sanitizer leg), a stop racing
+// span emitters still leaves a consistent journal, journals are
 // well-framed (journal-begin schema header, journal-end count trailer),
 // file-mode journals round-trip through the SearchJournal reader, a
 // Threads=1 sweep replays to a byte-identical journal modulo timing
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -184,6 +186,50 @@ TEST(EventLog, ConcurrentEmissionLosesNothing) {
   EXPECT_EQ(*Configs.rbegin(), Threads * PerThread - 1);
 }
 
+TEST(EventLog, StopRacingSpanEmittersLeavesAConsistentJournal) {
+  // journalStop while 4 threads are closing spans: each span lands
+  // before journal-end (and is counted) or is dropped; none lands after
+  // the trailer and the trailer's count is exact. Each round stops the
+  // journal while the emitters are mid-burst, so they contend for the
+  // journal inside the stop's window.
+  constexpr int Threads = 4, Rounds = 3000, Burst = 64;
+  std::atomic<int> Released{-1}, Closed{0}, Finished{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != Threads; ++T)
+    Workers.emplace_back([&] {
+      for (int Round = 0; Round != Rounds; ++Round) {
+        while (Released.load() < Round)
+          std::this_thread::yield();
+        for (int I = 0; I != Burst; ++I) {
+          { eventlog::Span S("race"); }
+          Closed.fetch_add(1);
+        }
+        Finished.fetch_add(1);
+      }
+    });
+  std::vector<std::string> Violations;
+  for (int Round = 0; Round != Rounds && Violations.empty(); ++Round) {
+    eventlog::journalStartBuffered();
+    Released.store(Round);
+    while (Closed.load() < (Round * Burst + 2) * Threads)
+      std::this_thread::yield();
+    eventlog::journalStop();
+    while (Finished.load() != (Round + 1) * Threads)
+      std::this_thread::yield();
+    std::optional<journal::SearchJournal> J =
+        journal::SearchJournal::parse(eventlog::journalLines());
+    Violations = J ? J->checkConsistent()
+                   : std::vector<std::string>{"unparseable journal"};
+    if (!Violations.empty())
+      Violations.front() = "round " + std::to_string(Round) + ": " +
+                           Violations.front();
+  }
+  Released.store(Rounds);
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_TRUE(Violations.empty()) << Violations.front();
+}
+
 //===----------------------------------------------------------------------===//
 // File round-trip
 //===----------------------------------------------------------------------===//
@@ -218,8 +264,8 @@ TEST(EventLog, JournalStartRejectsUnwritablePath) {
 
 /// Normalizes a journal for replay comparison: drops the wall-clock
 /// records (`progress` fires on a timer, so its count varies run to run)
-/// and the timing envelope/payload fields, keeping everything the search
-/// itself decided.
+/// and the timing envelope/payload fields (spans' included), keeping
+/// everything the search itself decided.
 std::vector<std::string> normalized(const std::vector<std::string> &Lines) {
   std::vector<std::string> Out;
   for (const std::string &L : Lines) {
@@ -229,7 +275,8 @@ std::vector<std::string> normalized(const std::vector<std::string> &Lines) {
       continue;
     Json N = Json::object();
     for (const auto &[K, V] : J.asObject()) {
-      if (K == "seq" || K == "ts_us" || K == "seconds" || K == "events")
+      if (K == "seq" || K == "ts_us" || K == "seconds" || K == "events" ||
+          K == "start_us" || K == "dur_us")
         continue;
       N[K] = V;
     }
@@ -285,9 +332,13 @@ TEST(EventLog, SweepJournalIsConsistentAndExplainsPrunes) {
   EXPECT_NE(W.at("detail").asString().find("dominated by configuration"),
             std::string::npos);
 
-  // A final-front member gets the front-member answer.
-  const journal::Event &EndEv = J->events()[J->events().size() - 2];
-  ASSERT_EQ(EndEv.Kind, "sweep-end");
+  // A final-front member gets the front-member answer. (The sweep's
+  // enclosing spans close after its sweep-end record.)
+  auto EndIt = std::find_if(
+      J->events().rbegin(), J->events().rend(),
+      [](const journal::Event &E) { return E.Kind == "sweep-end"; });
+  ASSERT_NE(EndIt, J->events().rend());
+  const journal::Event &EndEv = *EndIt;
   const std::vector<Json> &Front = EndEv.Fields.at("front").asArray();
   ASSERT_FALSE(Front.empty());
   Json FrontW =

@@ -1278,22 +1278,25 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
   // call blocks until the terminal line, so it runs on its own thread
   // while the main thread drives a sweep through a second connection.
   ClientResponse WatchR;
-  std::atomic<bool> WatchOk{false};
+  std::atomic<bool> WatchOk{false}, WatcherDone{false};
   std::thread Watcher([&] {
-    int Fd = connectLoopback(Srv.port());
-    if (Fd < 0)
-      return;
-    FdStreamBuf Buf(Fd);
-    std::istream In(&Buf);
-    std::ostream Out(&Buf);
-    ServiceClient C(In, Out);
-    WatchR = C.watch(/*Stream=*/true, /*Count=*/6, /*IntervalMs=*/200);
-    WatchOk.store(true);
+    if (int Fd = connectLoopback(Srv.port()); Fd >= 0) {
+      FdStreamBuf Buf(Fd);
+      std::istream In(&Buf);
+      std::ostream Out(&Buf);
+      ServiceClient C(In, Out);
+      WatchR = C.watch(/*Stream=*/true, /*Count=*/6, /*IntervalMs=*/200);
+      WatchOk.store(true);
+    }
+    WatcherDone.store(true);
   });
 
-  // Let the watch registration land in an earlier epoch, then run a
-  // sweep long enough to span several watch intervals.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // Wait until the watch is registered (its epoch counts it as a streamed
+  // response): the sweep must land in a later epoch, and starting it at
+  // once keeps idle heartbeats from using up the bounded stream. Then run
+  // a sweep long enough to span several watch intervals.
+  while (Srv.stats().StreamedResponses == 0 && !WatcherDone.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   {
     int Fd = connectLoopback(Srv.port());
     ASSERT_GE(Fd, 0);

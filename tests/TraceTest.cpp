@@ -3,26 +3,35 @@
 // Part of dahlia-cpp, a reproduction of "Predictable Accelerator Design with
 // Time-Sensitive Affine Types" (PLDI 2020).
 //
-// The observability contract of support/Trace.h and support/Metrics.h:
-// spans nest correctly across threads and serialize as well-formed Chrome
-// trace-event JSON (named tracks, trace-id args, synthetic connection
-// tracks), a disabled TRACE_SPAN allocates nothing, and the metrics
-// registry's counters/gauges/histograms aggregate and snapshot as
-// documented in docs/observability.md.
+// The span contract of support/EventLog.h and the metrics contract of
+// support/Metrics.h: spans recorded into the journal nest correctly across
+// threads and render through SearchJournal::chromeTrace as well-formed
+// Chrome trace-event JSON (named tracks, trace-id args, synthetic
+// connection tracks, spans beside the search events of a sweep), a
+// disabled TRACE_SPAN records and allocates nothing, a buffered journal
+// keeps at most 2^18 spans per thread, and the metrics registry's
+// counters/gauges/histograms aggregate and snapshot as documented in
+// docs/observability.md.
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/EventLog.h"
 #include "support/Metrics.h"
-#include "support/Trace.h"
 
+#include "dse/Journal.h"
+#include "dse/SearchStrategy.h"
+#include "kernels/Kernels.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -50,21 +59,23 @@ void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 namespace {
 
-/// Every test leaves tracing off and the buffers empty, so tests compose
-/// in any order within the binary.
+/// Every test leaves the journal stopped, so tests compose in any order
+/// within the binary. Spans are recorded into a buffered journal and
+/// rendered through the same path a binary's --trace-out takes.
 class TraceTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    trace::traceDisable();
-    trace::traceClear();
-  }
-  void TearDown() override {
-    trace::traceDisable();
-    trace::traceClear();
-  }
+  void SetUp() override { eventlog::journalStop(); }
+  void TearDown() override { eventlog::journalStop(); }
 
-  static Json parsedTrace() {
-    std::optional<Json> J = Json::parse(trace::traceToChromeJson());
+  /// Stops the journal and returns its span-only Chrome rendering.
+  static Json spanTrace() {
+    std::string Path = testing::TempDir() + "trace_test.json";
+    EXPECT_TRUE(dse::journal::writeSpanTrace(Path));
+    std::ifstream In(Path);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    std::remove(Path.c_str());
+    std::optional<Json> J = Json::parse(Text.str());
     EXPECT_TRUE(J.has_value());
     return J ? *J : Json();
   }
@@ -95,14 +106,13 @@ protected:
 //===----------------------------------------------------------------------===//
 
 TEST_F(TraceTest, SpansNestWithinOneThread) {
-  trace::traceEnable();
+  eventlog::journalStartBuffered();
   {
     TRACE_SPAN("outer");
     TRACE_SPAN("inner");
   }
-  trace::traceDisable();
 
-  Json Root = parsedTrace();
+  Json Root = spanTrace();
   std::vector<Json> Outer = spansNamed(Root, "outer");
   std::vector<Json> Inner = spansNamed(Root, "inner");
   ASSERT_EQ(Outer.size(), 1u);
@@ -117,19 +127,18 @@ TEST_F(TraceTest, SpansNestWithinOneThread) {
 }
 
 TEST_F(TraceTest, ThreadsRecordOntoDistinctNamedTracks) {
-  trace::traceEnable();
+  eventlog::journalStartBuffered();
   constexpr unsigned N = 4;
   std::vector<std::thread> Workers;
   for (unsigned W = 0; W != N; ++W)
     Workers.emplace_back([W] {
-      trace::traceSetThreadName("worker-" + std::to_string(W));
+      eventlog::setThreadName("worker-" + std::to_string(W));
       TRACE_SPAN("work");
     });
   for (std::thread &T : Workers)
     T.join();
-  trace::traceDisable();
 
-  Json Root = parsedTrace();
+  Json Root = spanTrace();
   std::vector<Json> Work = spansNamed(Root, "work");
   ASSERT_EQ(Work.size(), N);
 
@@ -147,48 +156,49 @@ TEST_F(TraceTest, ThreadsRecordOntoDistinctNamedTracks) {
 }
 
 TEST_F(TraceTest, SpansCarryTheScopedTraceId) {
-  trace::traceEnable();
+  eventlog::journalStartBuffered();
   {
-    trace::TraceIdScope Scope(42);
-    EXPECT_EQ(trace::currentTraceId(), 42u);
+    eventlog::TraceIdScope Scope(42);
+    EXPECT_EQ(eventlog::currentTraceId(), 42u);
     {
-      trace::TraceIdScope Inner(7);
-      EXPECT_EQ(trace::currentTraceId(), 7u);
+      eventlog::TraceIdScope Inner(7);
+      EXPECT_EQ(eventlog::currentTraceId(), 7u);
       TRACE_SPAN("tagged");
     }
-    EXPECT_EQ(trace::currentTraceId(), 42u); // Restored on scope exit.
+    EXPECT_EQ(eventlog::currentTraceId(), 42u); // Restored on scope exit.
   }
-  EXPECT_EQ(trace::currentTraceId(), 0u);
-  trace::traceDisable();
+  EXPECT_EQ(eventlog::currentTraceId(), 0u);
 
-  std::vector<Json> Tagged = spansNamed(parsedTrace(), "tagged");
+  std::vector<Json> Tagged = spansNamed(spanTrace(), "tagged");
   ASSERT_EQ(Tagged.size(), 1u);
   EXPECT_EQ(Tagged[0].at("args").at("trace_id").asInt(), 7);
 }
 
 TEST_F(TraceTest, SyntheticTracksRenderAsNamedRows) {
-  trace::traceEnable();
-  uint64_t Track = trace::traceMakeTrack("conn-9");
-  ASSERT_NE(Track, 0u);
-  EXPECT_GE(Track, uint64_t(1) << 20); // Clear of real thread tids.
-  uint64_t Start = trace::nowUs();
-  trace::traceSpanOnTrack(Track, "server.connection", Start, 5,
-                          /*TraceId=*/3);
-  trace::traceDisable();
+  eventlog::journalStartBuffered();
+  { TRACE_SPAN("on-thread"); }
+  {
+    eventlog::TraceIdScope Scope(3);
+    eventlog::emitSpan("server.connection", eventlog::nowUs(), 5, "conn-9");
+  }
 
-  Json Root = parsedTrace();
+  Json Root = spanTrace();
   std::vector<Json> Conn = spansNamed(Root, "server.connection");
+  std::vector<Json> Thread = spansNamed(Root, "on-thread");
   ASSERT_EQ(Conn.size(), 1u);
-  EXPECT_EQ(Conn[0].at("tid").asInt(), static_cast<int64_t>(Track));
+  ASSERT_EQ(Thread.size(), 1u);
+  int64_t Track = Conn[0].at("tid").asInt();
+  EXPECT_NE(Track, Thread[0].at("tid").asInt()); // Its own row.
   EXPECT_EQ(Conn[0].at("dur").asInt(), 5);
   EXPECT_EQ(Conn[0].at("args").at("trace_id").asInt(), 3);
-  EXPECT_EQ(threadNameOf(Root, static_cast<int64_t>(Track)), "conn-9");
+  EXPECT_EQ(threadNameOf(Root, Track), "conn-9");
 }
 
 TEST_F(TraceTest, DisabledTracingRecordsAndAllocatesNothing) {
-  ASSERT_FALSE(trace::enabled());
+  ASSERT_FALSE(eventlog::enabled());
   // Warm-up: any lazy statics the span path touches initialize here.
   { TRACE_SPAN("warmup"); }
+  uint64_t Events = eventlog::journalEventCount();
 
   size_t Before = GAllocCount.load(std::memory_order_relaxed);
   for (int I = 0; I != 10000; ++I) {
@@ -197,22 +207,20 @@ TEST_F(TraceTest, DisabledTracingRecordsAndAllocatesNothing) {
   size_t After = GAllocCount.load(std::memory_order_relaxed);
 
   EXPECT_EQ(After - Before, 0u);
-  EXPECT_EQ(trace::bufferedSpanCount(), 0u);
-  EXPECT_EQ(trace::traceMakeTrack("ignored"), 0u);
+  eventlog::emitSpan("ignored", 0, 1, "conn-1");
+  EXPECT_EQ(eventlog::journalEventCount(), Events);
 }
 
 TEST_F(TraceTest, ChromeJsonIsWellFormed) {
-  trace::traceEnable();
-  trace::traceSetThreadName("main");
+  eventlog::journalStartBuffered();
+  eventlog::setThreadName("main");
   { TRACE_SPAN("alpha"); }
   { TRACE_SPAN("beta"); }
-  trace::traceDisable();
 
-  std::optional<Json> Root = Json::parse(trace::traceToChromeJson());
-  ASSERT_TRUE(Root.has_value());
-  ASSERT_TRUE(Root->isObject());
-  EXPECT_EQ(Root->at("displayTimeUnit").asString(), "ms");
-  const std::vector<Json> &Events = Root->at("traceEvents").asArray();
+  Json Root = spanTrace();
+  ASSERT_TRUE(Root.isObject());
+  EXPECT_EQ(Root.at("displayTimeUnit").asString(), "ms");
+  const std::vector<Json> &Events = Root.at("traceEvents").asArray();
   ASSERT_GE(Events.size(), 3u); // Two spans + the thread_name record.
   for (const Json &E : Events) {
     const std::string &Ph = E.at("ph").asString();
@@ -230,14 +238,70 @@ TEST_F(TraceTest, ChromeJsonIsWellFormed) {
   }
 }
 
-TEST_F(TraceTest, ClearDropsEverything) {
-  trace::traceEnable();
+TEST_F(TraceTest, RestartDropsEverything) {
+  eventlog::journalStartBuffered();
   { TRACE_SPAN("doomed"); }
-  (void)trace::traceMakeTrack("doomed-track");
-  EXPECT_GT(trace::bufferedSpanCount(), 0u);
-  trace::traceClear();
-  EXPECT_EQ(trace::bufferedSpanCount(), 0u);
-  EXPECT_TRUE(spansNamed(parsedTrace(), "doomed").empty());
+  eventlog::emitSpan("doomed", eventlog::nowUs(), 1, "doomed-track");
+  eventlog::journalStop();
+  EXPECT_EQ(eventlog::journalLines().size(), 4u); // begin, 2 spans, end
+
+  eventlog::journalStartBuffered();
+  eventlog::journalStop();
+  EXPECT_EQ(eventlog::journalLines().size(), 2u); // begin, end
+  Json Root = spanTrace();
+  EXPECT_TRUE(spansNamed(Root, "doomed").empty());
+  EXPECT_TRUE(Root.at("traceEvents").asArray().empty());
+}
+
+TEST_F(TraceTest, BufferedJournalKeepsAtMost2To18SpansPerThread) {
+  constexpr size_t Cap = size_t(1) << 18;
+  metrics::Counter &Dropped = metrics::counter("journal.dropped_spans");
+  uint64_t DroppedBefore = Dropped.value();
+  eventlog::journalStartBuffered();
+  for (size_t I = 0; I != Cap + 5; ++I)
+    eventlog::emitSpan("flood", 0, 1);
+  // Another thread has its own allowance.
+  std::thread([] { eventlog::emitSpan("other", 0, 1); }).join();
+  eventlog::journalStop();
+
+  EXPECT_EQ(eventlog::journalLines().size(), Cap + 1 + 2);
+  EXPECT_EQ(Dropped.value() - DroppedBefore, 5u);
+}
+
+//===----------------------------------------------------------------------===//
+// One timeline: spans beside the search events they paid for
+//===----------------------------------------------------------------------===//
+
+TEST_F(TraceTest, HalvingSweepJournalRendersSpansBesideSearchEvents) {
+  dse::DseProblem P = kernels::gemmBlockedProblem();
+  P.Size = 200;
+  dse::DseOptions O;
+  O.Strategy = dse::StrategyKind::Halving;
+  O.Threads = 2;
+  eventlog::journalStartBuffered();
+  dse::DseEngine(O).explore(P);
+  eventlog::journalStop();
+
+  // The full rendering: the strategy's span on the same timeline as the
+  // prunes it decided.
+  std::optional<dse::journal::SearchJournal> J =
+      dse::journal::SearchJournal::parse(eventlog::journalLines());
+  ASSERT_TRUE(J);
+  EXPECT_TRUE(J->checkConsistent().empty());
+  std::optional<Json> Full = Json::parse(J->chromeTrace());
+  ASSERT_TRUE(Full);
+  size_t Prunes = 0;
+  for (const Json &E : Full->at("traceEvents").asArray())
+    Prunes += E.at("ph").asString() == "i" && E.at("name").asString() == "prune";
+  EXPECT_GT(Prunes, 0u) << "a 200-config halving sweep must prune something";
+  EXPECT_EQ(spansNamed(*Full, "dse.halving").size(), 1u);
+
+  // The span-only rendering a --trace-out file holds.
+  Json Spans = spanTrace();
+  for (const Json &E : Spans.at("traceEvents").asArray())
+    EXPECT_TRUE(E.at("ph").asString() == "X" || E.at("ph").asString() == "M")
+        << E.dump();
+  EXPECT_EQ(spansNamed(Spans, "dse.halving").size(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
