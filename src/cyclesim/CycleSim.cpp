@@ -13,9 +13,7 @@
 #include "support/StableHash.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <map>
 #include <numeric>
 
 using namespace dahlia;
@@ -24,33 +22,13 @@ using namespace dahlia::hlsim;
 
 namespace {
 
-/// Everything the walk needs about one nest, resolved once.
-struct NestPlan {
-  KernelSpec::NestView N;
-  std::vector<PeOffsets> Pes;
-  /// Access-instance keys, aligned with *N.Body.
-  std::vector<std::vector<InstanceKey>> Instances;
-  /// Sequential groups per loop (ceil(trip / unroll)), aligned with
-  /// *N.Loops.
-  std::vector<int64_t> Groups;
-  /// Walked groups per loop: min(Groups, conflict-pattern period).
+/// The walk box of one nest: walked groups per loop, min(sequential
+/// groups, conflict-pattern period), aligned with the plan's loops.
+std::vector<int64_t> walkCaps(const AccessPlan &P) {
   std::vector<int64_t> Caps;
-};
-
-NestPlan planNest(const KernelSpec &K, const KernelSpec::NestView &N) {
-  NestPlan P;
-  P.N = N;
-  P.Pes = enumeratePes(N, 2048);
-  P.Instances.reserve(N.Body->size());
-  for (const Access &A : *N.Body) {
-    assert(K.findArray(A.Array) && "access to unknown array");
-    P.Instances.push_back(accessInstances(N, A, P.Pes));
-  }
-
-  for (size_t L = 0; L != N.Loops->size(); ++L) {
-    const Loop &Lp = (*N.Loops)[L];
-    int64_t U = std::max<int64_t>(Lp.Unroll, 1);
-    int64_t G = (Lp.Trip + U - 1) / U;
+  for (size_t L = 0; L != P.loops(); ++L) {
+    int64_t U = std::max<int64_t>(P.Unroll[L], 1);
+    int64_t G = (P.Trip[L] + U - 1) / U;
     G = std::max<int64_t>(G, 1);
 
     // The bank an affine access resolves to depends on this loop's group
@@ -59,26 +37,17 @@ NestPlan planNest(const KernelSpec &K, const KernelSpec::NestView &N) {
     // Walking one period is therefore exactly as informative as walking
     // every group.
     int64_t Period = 1;
-    for (const Access &A : *N.Body) {
-      const ArraySpec *Arr = K.findArray(A.Array);
-      if (!Arr)
+    for (size_t D = 0; D != P.Part.size(); ++D) {
+      int64_t Pt = P.Part[D];
+      int64_t Coef = P.coefRow(D)[L];
+      if (Pt <= 1 || Coef == 0)
         continue;
-      for (size_t D = 0; D != A.Idx.size(); ++D) {
-        int64_t Pt = Arr->Partition[D];
-        if (Pt <= 1)
-          continue;
-        auto It = A.Idx[D].Coeffs.find(Lp.Var);
-        if (It == A.Idx[D].Coeffs.end())
-          continue;
-        int64_t Step = std::abs(It->second) * U;
-        int64_t DimPeriod = Pt / std::gcd(Pt, Step);
-        Period = std::lcm(Period, DimPeriod);
-      }
+      int64_t Step = std::abs(Coef) * U;
+      Period = std::lcm(Period, Pt / std::gcd(Pt, Step));
     }
-    P.Groups.push_back(G);
-    P.Caps.push_back(std::min(G, Period));
+    Caps.push_back(std::min(G, Period));
   }
-  return P;
+  return Caps;
 }
 
 } // namespace
@@ -93,14 +62,18 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K,
   uint64_t Budget = std::max<uint64_t>(O.MaxWalkGroups, 1);
 
   double Cycles = 0;
+  AccessPlan Plan;
+  BankCounters Counters(K);
   for (size_t NI = 0; NI != K.nestCount(); ++NI) {
-    const NestPlan P = planNest(K, K.nest(NI));
+    const KernelSpec::NestView N = K.nest(NI);
+    lowerNest(K, N, Counters, Plan);
+    const std::vector<int64_t> Caps = walkCaps(Plan);
     NestSim S;
 
     // Walk box: one conflict period per loop (clipped to the loop's real
     // group count), bounded by the remaining global budget.
     uint64_t BoxSize = 1;
-    for (int64_t C : P.Caps) {
+    for (int64_t C : Caps) {
       uint64_t U = static_cast<uint64_t>(std::max<int64_t>(C, 1));
       if (BoxSize > (uint64_t(1) << 62) / U) {
         BoxSize = uint64_t(1) << 62; // Saturate; the budget clips below.
@@ -124,13 +97,11 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K,
     // for its worst-case conflict, not re-timed per iteration).
     //===----------------------------------------------------------------===//
     double II = 1.0;
-    std::vector<int64_t> Coord(P.Caps.size(), 0);
-    std::map<std::string, int64_t> SeqIter;
-    for (size_t L = 0; L != P.Caps.size(); ++L)
-      SeqIter[(*P.N.Loops)[L].Var] = 0;
+    std::vector<int64_t> Coord(Caps.size(), 0);
+    std::vector<int64_t> SeqIter(Plan.Vars, 0);
     for (uint64_t G = 0; G != Walk; ++G) {
       double Needed =
-          arbitrateGroup(K, P.N, P.Instances, SeqIter, S.MaxPortPressure);
+          arbitrateGroup(Plan, SeqIter, Counters, S.MaxPortPressure);
       II = std::max(II, Needed);
       ++S.WalkedGroups;
       if (Needed > 1.0) {
@@ -138,9 +109,9 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K,
         S.StallCycles += static_cast<uint64_t>(Needed) - 1;
       }
       // Odometer step, innermost loop fastest.
-      for (size_t L = P.Caps.size(); L-- > 0;) {
-        Coord[L] = (Coord[L] + 1) % P.Caps[L];
-        SeqIter[(*P.N.Loops)[L].Var] = Coord[L];
+      for (size_t L = Caps.size(); L-- > 0;) {
+        Coord[L] = (Coord[L] + 1) % Caps[L];
+        SeqIter[Plan.Var[L]] = Coord[L];
         if (Coord[L] != 0)
           break;
       }
@@ -148,9 +119,9 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K,
     // Budget-truncated walks clamp against the analytic sampled scan so
     // Full <= Exact survives even the pathological case.
     if (!S.PeriodComplete)
-      II = std::max(II, sampledConflictII(K, P.N, P.Instances,
-                                          CM.PortConflictSamples));
-    if (P.N.HasAccumulator && K.FloatingPoint)
+      II = std::max(II, sampledConflictII(Plan, CM.PortConflictSamples,
+                                          Counters));
+    if (N.HasAccumulator && K.FloatingPoint)
       II = std::max(II, 1.0 + CM.AccumulatorII);
     S.II = II;
     R.II = std::max(R.II, II);
@@ -160,9 +131,9 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K,
     // nestShape, so the only difference between Full and Exact cycles is
     // sampled-vs-observed II.
     //===----------------------------------------------------------------===//
-    NestShape Shape = nestShape(P.N, CM.LoopOverheadCycles);
+    NestShape Shape = nestShape(N, CM.LoopOverheadCycles);
     S.Groups = Shape.Groups;
-    S.EffectiveII = std::max(II, P.N.IterationLatency);
+    S.EffectiveII = std::max(II, N.IterationLatency);
     S.Cycles = Shape.Groups * S.EffectiveII + Shape.OuterOverhead;
     Cycles += Shape.Groups * S.EffectiveII + Shape.OuterOverhead;
     R.WalkedGroups += S.WalkedGroups;

@@ -13,9 +13,8 @@
 #include "support/StableHash.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <map>
+#include <numeric>
 
 using namespace dahlia;
 using namespace dahlia::hlsim;
@@ -36,7 +35,6 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   const bool NeedInstances = CM.ModelMuxCost || ScanPorts;
 
   double MuxLut = 0;
-  std::map<std::string, std::map<int64_t, int64_t>> BankFanIn;
   double II = 1.0;     ///< Max initiation interval across nests.
   double Cycles = 0;   ///< Serial nest latencies, summed.
   double PeLut = 0;    ///< Unrolled arithmetic LUTs, summed over nests.
@@ -49,34 +47,37 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   std::vector<double> NestPe;
   NestPe.reserve(K.nestCount());
 
+  // Scratch reused by every nest: the nest's flat access plan, the
+  // per-group bank counters, and the fan-in each bank accumulates over
+  // the whole spec (indexed like the counters).
+  AccessPlan Plan;
+  BankCounters Counters;
+  std::vector<int64_t> BankFanIn;
+  std::vector<int64_t> Reach;
+  if (NeedInstances) {
+    Counters = BankCounters(K);
+    BankFanIn.assign(Counters.Count.size(), 0);
+  }
+
   for (size_t NI = 0; NI != K.nestCount(); ++NI) {
     const KernelSpec::NestView N = K.nest(NI);
     const double UNest = static_cast<double>(N.totalUnroll());
     SumPe += UNest;
     LoopLevels += N.Loops->size();
 
-    const std::vector<PeOffsets> Pes =
-        NeedInstances ? enumeratePes(N, 2048) : std::vector<PeOffsets>();
-
     //===----------------------------------------------------------------===//
     // Bank reachability (mechanism 2): mux and arbitration sizing.
     //===----------------------------------------------------------------===//
-    std::vector<std::vector<InstanceKey>> Instances;
     if (NeedInstances) {
-      Instances.reserve(N.Body->size());
-      for (const Access &A : *N.Body) {
-        const ArraySpec *Arr = K.findArray(A.Array);
-        assert(Arr && "access to unknown array");
-        assert(A.Idx.size() == Arr->DimSizes.size() &&
-               "access arity mismatch");
-        Instances.push_back(accessInstances(N, A, Pes));
-        for (const InstanceKey &Key : Instances.back()) {
-          std::vector<int64_t> Reach = reachableBanks(N, A, *Arr, Key);
+      lowerNest(K, N, Counters, Plan);
+      for (const AccessPlan::Access &A : Plan.Accesses) {
+        for (size_t I = 0; I != A.Insts; ++I) {
+          reachableBanks(Plan, A, Plan.instance(A, I), Reach);
           if (Reach.size() > 1)
             MuxLut += CM.MuxLutPerInputBit *
-                      static_cast<double>(Reach.size()) * Arr->ElemBits;
+                      static_cast<double>(Reach.size()) * A.ElemBits;
           for (int64_t B : Reach)
-            ++BankFanIn[Arr->Name][B];
+            ++BankFanIn[static_cast<size_t>(A.Bank0 + B)];
         }
       }
     }
@@ -88,7 +89,7 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
     // same function over a superset of these points.
     //===----------------------------------------------------------------===//
     double NestII =
-        ScanPorts ? sampledConflictII(K, N, Instances, CM.PortConflictSamples)
+        ScanPorts ? sampledConflictII(Plan, CM.PortConflictSamples, Counters)
                   : 1.0;
     if (N.HasAccumulator && K.FloatingPoint)
       NestII = std::max(NestII, 1.0 + CM.AccumulatorII);
@@ -117,13 +118,21 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   }
   E.II = II;
 
+  // Summed array by array in name order, banks ascending: the order is
+  // part of the bit-exact result. (Of arrays sharing a name only the first
+  // is ever accessed, so ties cannot change the sum.)
   double ArbLut = 0;
-  for (const auto &[ArrName, Fans] : BankFanIn) {
-    (void)ArrName;
-    for (const auto &[Bank, FanIn] : Fans) {
-      (void)Bank;
-      if (FanIn > 1)
-        ArbLut += CM.ArbLutPerRequester * static_cast<double>(FanIn);
+  if (NeedInstances) {
+    std::vector<size_t> ByName(K.Arrays.size());
+    std::iota(ByName.begin(), ByName.end(), size_t(0));
+    std::sort(ByName.begin(), ByName.end(), [&](size_t X, size_t Y) {
+      return K.Arrays[X].Name < K.Arrays[Y].Name;
+    });
+    for (size_t AI : ByName) {
+      const int64_t *Fans = BankFanIn.data() + Counters.Offset[AI];
+      for (int64_t B = 0; B != K.Arrays[AI].totalBanks(); ++B)
+        if (Fans[B] > 1)
+          ArbLut += CM.ArbLutPerRequester * static_cast<double>(Fans[B]);
     }
   }
 

@@ -11,11 +11,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "hlsim/Estimator.h"
+#include "hlsim/KernelAnalysis.h"
 #include "kernels/Kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <span>
 
 using namespace dahlia::hlsim;
 using namespace dahlia::kernels;
@@ -72,6 +76,40 @@ KernelSpec smallKernel(int64_t Trip, int64_t Unroll, int64_t Partition,
   return K;
 }
 
+/// Checks, for the unrolled copy at \p PeOffsets of the first nest's
+/// first access, that the instance it resolves to is one of the flat
+/// plan's instances and that every bank brute-force iteration touches lies
+/// inside the plan's reachable set for that instance.
+void expectReachCoversBruteForce(const KernelSpec &K,
+                                 const std::vector<int64_t> &PeOffsets) {
+  const Access &A = K.Body[0];
+  BankCounters C(K);
+  AccessPlan P;
+  lowerNest(K, K.nest(0), C, P);
+  const AccessPlan::Access &PA = P.Accesses[0];
+
+  std::map<std::string, int64_t> Vals;
+  for (size_t L = 0; L != K.Loops.size(); ++L)
+    Vals[K.Loops[L].Var] = PeOffsets[L];
+  std::vector<int64_t> Key, Bank;
+  for (size_t D = 0; D != A.Idx.size(); ++D) {
+    Key.push_back(A.Idx[D].eval(Vals));
+    Bank.push_back(floorMod(Key.back(), P.Part[PA.Dim0 + D]));
+  }
+  bool IsInstance = false;
+  for (size_t I = 0; I != PA.Insts; ++I) {
+    std::span<const int64_t> Inst = P.instance(PA, I);
+    IsInstance |= std::equal(Inst.begin(), Inst.end(), Bank.begin());
+  }
+  EXPECT_TRUE(IsInstance) << "copy resolves to no plan instance";
+
+  std::vector<int64_t> Reach;
+  reachableBanks(P, PA, Key, Reach);
+  std::set<int64_t> Reachable(Reach.begin(), Reach.end());
+  for (int64_t B : bruteForceBanks(K, A, PeOffsets))
+    EXPECT_TRUE(Reachable.count(B)) << "bank " << B << " is unreachable";
+}
+
 class ReachCrossValidation
     : public ::testing::TestWithParam<
           std::tuple<int64_t, int64_t, int64_t, int64_t>> {};
@@ -82,17 +120,8 @@ TEST_P(ReachCrossValidation, AnalyticReachCoversBruteForce) {
   if (Trip % Unroll != 0)
     GTEST_SKIP();
   KernelSpec K = smallKernel(Trip, Unroll, Partition, Coeff, Offset);
-  // The estimator reports conflicts through II; here we validate the
-  // underlying reach analysis indirectly: brute-force banks for every PE
-  // must stay within the partition range, and the estimator must accept
-  // the kernel without crashing and produce a deterministic result.
-  for (int64_t J = 0; J != Unroll; ++J) {
-    std::set<int64_t> Banks = bruteForceBanks(K, K.Body[0], {J});
-    for (int64_t B : Banks) {
-      EXPECT_GE(B, 0);
-      EXPECT_LT(B, Partition);
-    }
-  }
+  for (int64_t J = 0; J != Unroll; ++J)
+    expectReachCoversBruteForce(K, {J});
   Estimate E1 = estimate(K);
   Estimate E2 = estimate(K);
   EXPECT_EQ(E1.Lut, E2.Lut);
@@ -101,6 +130,29 @@ TEST_P(ReachCrossValidation, AnalyticReachCoversBruteForce) {
   // instance on one bank.
   EXPECT_LE(E1.II, static_cast<double>(Unroll));
   EXPECT_GE(E1.II, 1.0);
+}
+
+TEST(ReachCrossValidation, LoopsSharingAVariableNameResolveByName) {
+  // An outer and an inner loop both named `i`: the inner one shadows the
+  // outer in the index, and the plan gives both loops the coefficient of
+  // `i` and one shared group counter, as a lookup by name does.
+  for (int64_t Partition : {1, 2, 4, 8})
+    for (int64_t Coeff : {1, 3}) {
+      KernelSpec K = smallKernel(12, 2, Partition, Coeff, 1);
+      K.Loops.insert(K.Loops.begin(), Loop{"i", 4, 1});
+      BankCounters C(K);
+      AccessPlan P;
+      lowerNest(K, K.nest(0), C, P);
+      EXPECT_EQ(P.Vars, 1u);
+      EXPECT_EQ(P.Var, (std::vector<size_t>{0, 0}));
+      EXPECT_EQ(P.coefRow(0)[0], Coeff);
+      EXPECT_EQ(P.coefRow(0)[1], Coeff);
+      for (int64_t J = 0; J != 2; ++J)
+        expectReachCoversBruteForce(K, {0, J});
+      Estimate E = estimate(K);
+      EXPECT_GE(E.II, 1.0);
+      EXPECT_LE(E.II, 2.0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,10 +10,15 @@
 
 #include "hlsim/Estimator.h"
 
+#include "cyclesim/CycleSim.h"
+#include "hlsim/KernelAnalysis.h"
 #include "kernels/Kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+using namespace dahlia;
 using namespace dahlia::hlsim;
 using namespace dahlia::kernels;
 
@@ -173,6 +178,120 @@ TEST(Hlsim, EstimateIsFastEnoughForExhaustiveDse) {
     estimate(gemmBlockedSpec(C));
   }
   SUCCEED();
+}
+
+//===----------------------------------------------------------------------===//
+// Bit-exactness pins
+//===----------------------------------------------------------------------===//
+
+const KernelSpec &kmpRewrite() {
+  static const KernelSpec K = [] {
+    for (const MachSuiteBenchmark &B : machSuiteBenchmarks())
+      if (B.Name == "kmp")
+        return B.Rewrite;
+    return KernelSpec();
+  }();
+  return K;
+}
+
+TEST(Hlsim, HeuristicConfigHashIsPinned) {
+  // Literals computed by the string-building implementation this one
+  // replaced; the noise draws of every rule-violating configuration (and
+  // so the Figure 7 front hashes) depend on these bytes.
+  GemmBlockedConfig Violating;
+  Violating.Bank11 = Violating.Bank12 = 3;
+  Violating.Unroll1 = Violating.Unroll3 = 2;
+  Violating.Unroll2 = 6;
+  ASSERT_FALSE(estimate(gemmBlockedSpec(Violating)).Predictable);
+  ASSERT_TRUE(estimate(gemmBlockedSpec(GemmBlockedConfig())).Predictable);
+  ASSERT_TRUE(kmpRewrite().Loops[0].IsWhile);
+  ASSERT_EQ(mdKnnSpec(MdKnnConfig()).nestCount(), 2u);
+  EXPECT_EQ(heuristicConfigHash(gemmBlockedSpec(GemmBlockedConfig())),
+            0x8f6a1d1351999418ULL);
+  EXPECT_EQ(heuristicConfigHash(gemmBlockedSpec(Violating)),
+            0x94b0f2e4e9a43d0bULL);
+  EXPECT_EQ(heuristicConfigHash(mdKnnSpec(MdKnnConfig())),
+            0x24061ec577b07d92ULL);
+  EXPECT_EQ(heuristicConfigHash(kmpRewrite()), 0x5c8433a033e1ec0bULL);
+}
+
+uint64_t foldEstimate(uint64_t H, const Estimate &E) {
+  for (double D : {E.Cycles, E.RuntimeMs, E.II})
+    H = stableHashCombine(H, std::bit_cast<uint64_t>(D));
+  for (int64_t I : {E.Lut, E.Ff, E.Bram, E.Dsp, E.LutMem})
+    H = stableHashCombine(H, static_cast<uint64_t>(I));
+  H = stableHashCombine(H, E.Incorrect);
+  return stableHashCombine(H, E.Predictable);
+}
+
+uint64_t foldSim(uint64_t H, const cyclesim::SimResult &S) {
+  for (double D : {S.Cycles, S.II})
+    H = stableHashCombine(H, std::bit_cast<uint64_t>(D));
+  H = stableHashCombine(H, S.Truncated);
+  H = stableHashCombine(H, S.WalkedGroups);
+  for (const cyclesim::NestSim &N : S.Nests) {
+    for (double D : {N.II, N.EffectiveII, N.Groups, N.Cycles})
+      H = stableHashCombine(H, std::bit_cast<uint64_t>(D));
+    for (uint64_t U : {N.WalkedGroups, N.ConflictGroups, N.StallCycles})
+      H = stableHashCombine(H, U);
+    H = stableHashCombine(H, static_cast<uint64_t>(N.MaxPortPressure));
+    H = stableHashCombine(H, N.PeriodComplete);
+  }
+  return H;
+}
+
+TEST(Hlsim, EstimatesAndSimulationsArePinnedBitForBit) {
+  // Every Estimate field at the three analytic rungs over the Figure 7 and
+  // Figure 8 spaces, and every SimResult field over the sim_accuracy
+  // corpus, folded into one digest. The literal was generated by the
+  // map-based schedule primitive the flat access plans replaced, so a
+  // drift in any field of any result fails here.
+  uint64_t H = 0xcbf29ce484222325ULL;
+  auto Rungs = [&H](const KernelSpec &K) {
+    for (Fidelity F : {Fidelity::Coarse, Fidelity::Medium, Fidelity::Full})
+      H = foldEstimate(H, estimate(K, costModelFor(F)));
+  };
+  for (const GemmBlockedConfig &C : gemmBlockedSpace())
+    Rungs(gemmBlockedSpec(C));
+  for (const Stencil2dConfig &C : stencil2dSpace())
+    Rungs(stencil2dSpec(C));
+  for (const MdKnnConfig &C : mdKnnSpace())
+    Rungs(mdKnnSpec(C));
+  for (const MdGridConfig &C : mdGridSpace())
+    Rungs(mdGridSpec(C));
+
+  std::vector<KernelSpec> Corpus;
+  for (int64_t U = 1; U <= 10; ++U)
+    Corpus.push_back(gemm512(U, 1));
+  for (int64_t U = 1; U <= 16; ++U)
+    Corpus.push_back(gemm512(U, 8));
+  for (int64_t K : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16})
+    Corpus.push_back(gemm512Lockstep(K));
+  GemmBlockedConfig G;
+  Corpus.push_back(gemmBlockedSpec(G));
+  G.Bank11 = G.Bank12 = G.Bank21 = G.Bank22 = 2;
+  G.Unroll1 = G.Unroll2 = G.Unroll3 = 2;
+  Corpus.push_back(gemmBlockedSpec(G));
+  Stencil2dConfig S;
+  Corpus.push_back(stencil2dSpec(S));
+  S.FilterBank1 = S.FilterBank2 = 3;
+  S.Unroll1 = S.Unroll2 = 3;
+  Corpus.push_back(stencil2dSpec(S));
+  MdKnnConfig M;
+  Corpus.push_back(mdKnnSpec(M));
+  M.BankPos = M.BankNlPos = M.BankForce = 4;
+  M.UnrollI = M.UnrollJ = 4;
+  Corpus.push_back(mdKnnSpec(M));
+  MdGridConfig D;
+  Corpus.push_back(mdGridSpec(D));
+  D.Bank1 = D.Bank2 = D.Bank3 = 2;
+  D.Unroll1 = D.Unroll2 = D.Unroll3 = 2;
+  Corpus.push_back(mdGridSpec(D));
+  for (const MachSuiteBenchmark &B : machSuiteBenchmarks())
+    Corpus.push_back(B.Rewrite);
+  for (const KernelSpec &K : Corpus)
+    H = foldSim(H, cyclesim::simulate(K));
+  EXPECT_EQ(H, 0x2954379e015354ebULL);
 }
 
 } // namespace

@@ -1294,7 +1294,8 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
   // Wait until the watch is registered (its epoch counts it as a streamed
   // response): the sweep must land in a later epoch, and starting it at
   // once keeps idle heartbeats from using up the bounded stream. Then run
-  // a sweep long enough to span several watch intervals.
+  // a sweep long enough to span several watch intervals: the whole Fig 7
+  // space, about 8 intervals at 10k configs/s per thread.
   while (Srv.stats().StreamedResponses == 0 && !WatcherDone.load())
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   {
@@ -1304,9 +1305,9 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
     std::istream In(&Buf);
     std::ostream Out(&Buf);
     ServiceClient C(In, Out);
-    ClientResponse Sweep = C.dseSweep("gemm-blocked", 8000, 2);
+    ClientResponse Sweep = C.dseSweep("gemm-blocked", 32000, 2);
     ASSERT_TRUE(Sweep.R.Ok);
-    EXPECT_EQ(Sweep.R.Sweep.at("explored").asInt(), 8000);
+    EXPECT_EQ(Sweep.R.Sweep.at("explored").asInt(), 32000);
   }
   Watcher.join();
   Srv.stop();
