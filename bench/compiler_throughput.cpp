@@ -9,6 +9,8 @@
 // runs 32,000 parse+check cycles. All stage sequencing goes through the
 // CompilerPipeline driver layer, so these numbers include the driver's
 // own (small) dispatch and timing overhead — exactly what DSE pays.
+// The *Knn pair repeats lex and check on the default md-knn source, so
+// the per-layer numbers cover the Figure 8 sweeps as well as gemm.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,20 +32,30 @@ const std::string &gemmSource() {
   return Src;
 }
 
+const std::string &knnSource() {
+  static std::string Src = mdKnnDahlia(MdKnnConfig());
+  return Src;
+}
+
 const CompilerPipeline &pipeline() {
   static CompilerPipeline P;
   return P;
 }
 
-void BM_Lex(benchmark::State &State) {
+void lexSource(benchmark::State &State, const std::string &Src) {
   for (auto _ : State) {
-    auto Toks = lex(gemmSource());
+    auto Toks = lex(Src);
     benchmark::DoNotOptimize(Toks);
   }
   State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
-                          static_cast<int64_t>(gemmSource().size()));
+                          static_cast<int64_t>(Src.size()));
 }
+
+void BM_Lex(benchmark::State &State) { lexSource(State, gemmSource()); }
 BENCHMARK(BM_Lex);
+
+void BM_LexKnn(benchmark::State &State) { lexSource(State, knnSource()); }
+BENCHMARK(BM_LexKnn);
 
 void BM_Parse(benchmark::State &State) {
   for (auto _ : State) {
@@ -60,6 +72,14 @@ void BM_TypeCheck(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_TypeCheck);
+
+void BM_CheckKnn(benchmark::State &State) {
+  for (auto _ : State) {
+    CompileResult R = pipeline().check(knnSource());
+    benchmark::DoNotOptimize(R);
+  }
+}
+BENCHMARK(BM_CheckKnn);
 
 void BM_EmitHls(benchmark::State &State) {
   for (auto _ : State) {

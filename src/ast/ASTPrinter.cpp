@@ -7,13 +7,36 @@
 
 #include "ast/ASTPrinter.h"
 
+#include <charconv>
+#include <concepts>
 #include <sstream>
+#include <string_view>
 
 using namespace dahlia;
 
 namespace {
 
-/// Stateful printer accumulating into a string stream.
+/// The printer's output buffer: one string that text, characters and
+/// decimal integers (via std::to_chars) are appended to.
+struct StringSink {
+  std::string Str;
+
+  StringSink &operator<<(std::string_view Text) {
+    Str.append(Text);
+    return *this;
+  }
+  StringSink &operator<<(char C) {
+    Str.push_back(C);
+    return *this;
+  }
+  StringSink &operator<<(std::integral auto V) {
+    char Buf[24];
+    Str.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+    return *this;
+  }
+};
+
+/// Stateful printer accumulating into one string.
 class Printer {
 public:
   std::string exprStr(const Expr &E) {
@@ -55,10 +78,10 @@ public:
   }
 
 private:
-  std::ostringstream OS;
+  StringSink OS;
   unsigned Level = 0;
 
-  std::string take() { return OS.str(); }
+  std::string take() { return std::move(OS.Str); }
 
   void indent() {
     for (unsigned I = 0; I != Level; ++I)

@@ -7,9 +7,10 @@
 
 #include "lexer/Lexer.h"
 
-#include <cctype>
+#include <array>
+#include <charconv>
 #include <cstdlib>
-#include <unordered_map>
+#include <cstring>
 
 using namespace dahlia;
 
@@ -125,243 +126,287 @@ const char *dahlia::tokKindName(TokKind Kind) {
   return "unknown token";
 }
 
-static TokKind keywordKind(std::string_view Word) {
-  static const std::unordered_map<std::string_view, TokKind> Keywords = {
-      {"let", TokKind::KwLet},         {"view", TokKind::KwView},
-      {"if", TokKind::KwIf},           {"else", TokKind::KwElse},
-      {"while", TokKind::KwWhile},     {"for", TokKind::KwFor},
-      {"unroll", TokKind::KwUnroll},   {"combine", TokKind::KwCombine},
-      {"def", TokKind::KwDef},         {"decl", TokKind::KwDecl},
-      {"true", TokKind::KwTrue},       {"false", TokKind::KwFalse},
-      {"bank", TokKind::KwBank},       {"by", TokKind::KwBy},
-      {"shrink", TokKind::KwShrink},   {"suffix", TokKind::KwSuffix},
-      {"shift", TokKind::KwShift},     {"split", TokKind::KwSplit},
-      {"skip", TokKind::KwSkip},
-  };
-  auto It = Keywords.find(Word);
-  return It == Keywords.end() ? TokKind::Ident : It->second;
-}
-
 namespace {
 
-/// Single-pass scanner over a source buffer with line/column tracking.
-class Scanner {
-public:
-  explicit Scanner(std::string_view Source) : Src(Source) {}
+/// Character classes of the scanner's dispatch table. They agree with
+/// <cctype> in the C locale: Space is isspace() minus '\n', Word is
+/// isalpha() plus '_', Digit is isdigit(). Every byte >= 0x80 is Invalid.
+enum CharClass : uint8_t { Invalid, Space, Newline, Word, Digit, Punct };
 
-  Result<std::vector<Token>> run() {
-    std::vector<Token> Toks;
-    while (true) {
-      if (ResultVoid R = skipTrivia(); !R)
-        return R.error();
-      SourceLoc Loc = loc();
-      if (atEnd()) {
-        Toks.push_back({TokKind::Eof, "", 0, 0, Loc});
-        return Toks;
-      }
-      Result<Token> T = next(Loc);
-      if (!T)
-        return T.error();
-      Toks.push_back(T.take());
-    }
+constexpr std::array<CharClass, 256> makeCharClasses() {
+  std::array<CharClass, 256> T{};
+  for (char C : std::string_view(" \t\v\f\r"))
+    T[static_cast<unsigned char>(C)] = Space;
+  T['\n'] = Newline;
+  for (int C = 'a'; C <= 'z'; ++C)
+    T[C] = Word;
+  for (int C = 'A'; C <= 'Z'; ++C)
+    T[C] = Word;
+  T['_'] = Word;
+  for (int C = '0'; C <= '9'; ++C)
+    T[C] = Digit;
+  for (char C : std::string_view("(){}[];,:.-+*/%=!<>&|"))
+    T[static_cast<unsigned char>(C)] = Punct;
+  return T;
+}
+
+constexpr std::array<CharClass, 256> CharClasses = makeCharClasses();
+
+CharClass classOf(char C) {
+  return CharClasses[static_cast<unsigned char>(C)];
+}
+
+bool isWordChar(char C) {
+  CharClass K = classOf(C);
+  return K == Word || K == Digit;
+}
+
+TokKind keywordKind(std::string_view W) {
+  switch (W.size()) {
+  case 2:
+    if (W == "if")
+      return TokKind::KwIf;
+    if (W == "by")
+      return TokKind::KwBy;
+    break;
+  case 3:
+    if (W == "let")
+      return TokKind::KwLet;
+    if (W == "for")
+      return TokKind::KwFor;
+    if (W == "def")
+      return TokKind::KwDef;
+    break;
+  case 4:
+    if (W == "view")
+      return TokKind::KwView;
+    if (W == "else")
+      return TokKind::KwElse;
+    if (W == "decl")
+      return TokKind::KwDecl;
+    if (W == "true")
+      return TokKind::KwTrue;
+    if (W == "bank")
+      return TokKind::KwBank;
+    if (W == "skip")
+      return TokKind::KwSkip;
+    break;
+  case 5:
+    if (W == "while")
+      return TokKind::KwWhile;
+    if (W == "false")
+      return TokKind::KwFalse;
+    if (W == "shift")
+      return TokKind::KwShift;
+    if (W == "split")
+      return TokKind::KwSplit;
+    break;
+  case 6:
+    if (W == "unroll")
+      return TokKind::KwUnroll;
+    if (W == "shrink")
+      return TokKind::KwShrink;
+    if (W == "suffix")
+      return TokKind::KwSuffix;
+    break;
+  case 7:
+    if (W == "combine")
+      return TokKind::KwCombine;
+    break;
+  default:
+    break;
   }
+  return TokKind::Ident;
+}
 
-private:
-  std::string_view Src;
-  size_t Pos = 0;
-  uint32_t Line = 1, Col = 1;
+} // namespace
 
-  bool atEnd() const { return Pos >= Src.size(); }
-  char peek(size_t Ahead = 0) const {
-    return Pos + Ahead < Src.size() ? Src[Pos + Ahead] : '\0';
-  }
-  SourceLoc loc() const { return SourceLoc(Line, Col); }
+Result<std::vector<Token>> dahlia::lex(std::string_view Source) {
+  const char *P = Source.data();
+  const char *const End = P + Source.size();
+  // Columns are byte offsets from the start of the line, so a location is
+  // computed from the cursor instead of being tracked per character.
+  const char *LineStart = P;
+  uint32_t Line = 1;
+  auto LocOf = [&](const char *At) {
+    return SourceLoc(Line, static_cast<uint32_t>(At - LineStart) + 1);
+  };
+  auto Next = [&](const char *At) { return At + 1 < End ? At[1] : '\0'; };
 
-  char advance() {
-    char C = Src[Pos++];
-    if (C == '\n') {
-      ++Line;
-      Col = 1;
-    } else {
-      ++Col;
-    }
-    return C;
-  }
+  std::vector<Token> Toks;
+  // The DSE kernels' sources average about three bytes per token.
+  Toks.reserve(Source.size() / 3 + 1);
 
-  ResultVoid skipTrivia() {
-    while (!atEnd()) {
-      char C = peek();
-      if (isspace(static_cast<unsigned char>(C))) {
-        advance();
-        continue;
-      }
-      if (C == '/' && peek(1) == '/') {
-        while (!atEnd() && peek() != '\n')
-          advance();
-        continue;
-      }
-      if (C == '/' && peek(1) == '*') {
-        SourceLoc Start = loc();
-        advance();
-        advance();
-        while (!(peek() == '*' && peek(1) == '/')) {
-          if (atEnd())
-            return Error(ErrorKind::Lex, "unterminated block comment", Start);
-          advance();
-        }
-        advance();
-        advance();
-        continue;
-      }
-      return ResultVoid();
-    }
-    return ResultVoid();
-  }
-
-  Result<Token> next(SourceLoc Loc) {
-    char C = peek();
-    if (isalpha(static_cast<unsigned char>(C)) || C == '_')
-      return lexWord(Loc);
-    if (isdigit(static_cast<unsigned char>(C)))
-      return lexNumber(Loc);
-    return lexPunct(Loc);
-  }
-
-  Result<Token> lexWord(SourceLoc Loc) {
-    size_t Start = Pos;
-    while (!atEnd() && (isalnum(static_cast<unsigned char>(peek())) ||
-                        peek() == '_'))
-      advance();
-    std::string Word(Src.substr(Start, Pos - Start));
-    Token T;
-    T.Kind = keywordKind(Word);
-    T.Text = std::move(Word);
-    T.Loc = Loc;
-    return T;
-  }
-
-  Result<Token> lexNumber(SourceLoc Loc) {
-    size_t Start = Pos;
-    bool IsFloat = false;
-    while (!atEnd() && isdigit(static_cast<unsigned char>(peek())))
-      advance();
-    // Accept a fractional part, but not the range operator "..".
-    if (peek() == '.' && isdigit(static_cast<unsigned char>(peek(1)))) {
-      IsFloat = true;
-      advance();
-      while (!atEnd() && isdigit(static_cast<unsigned char>(peek())))
-        advance();
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      size_t Save = Pos;
-      advance();
-      if (peek() == '+' || peek() == '-')
-        advance();
-      if (isdigit(static_cast<unsigned char>(peek()))) {
-        IsFloat = true;
-        while (!atEnd() && isdigit(static_cast<unsigned char>(peek())))
-          advance();
-      } else {
-        // Not an exponent after all; rewind (column drift is acceptable for
-        // this pathological case).
-        Pos = Save;
-      }
-    }
-    std::string Text(Src.substr(Start, Pos - Start));
-    Token T;
-    T.Text = Text;
-    T.Loc = Loc;
-    if (IsFloat) {
-      T.Kind = TokKind::FloatLit;
-      T.FloatValue = strtod(Text.c_str(), nullptr);
-    } else {
-      T.Kind = TokKind::IntLit;
-      T.IntValue = strtoll(Text.c_str(), nullptr, 10);
-    }
-    return T;
-  }
-
-  Result<Token> lexPunct(SourceLoc Loc) {
-    auto Make = [&](TokKind K, int Len) {
-      Token T;
-      T.Kind = K;
-      T.Text = std::string(Src.substr(Pos, Len));
-      T.Loc = Loc;
-      for (int I = 0; I != Len; ++I)
-        advance();
-      return T;
+  while (P != End) {
+    const char *Start = P;
+    SourceLoc Loc = LocOf(P);
+    // Appends the token spelled [Start, P).
+    auto Emit = [&](TokKind K) -> Token & {
+      return Toks.emplace_back(
+          Token{K, std::string_view(Start, P - Start), 0, 0, Loc});
     };
-    char C = peek();
+    switch (classOf(*P)) {
+    case Space:
+      ++P;
+      continue;
+    case Newline:
+      LineStart = ++P;
+      ++Line;
+      continue;
+    case Word:
+      while (++P != End && isWordChar(*P))
+        ;
+      Emit(keywordKind(std::string_view(Start, P - Start)));
+      continue;
+    case Digit: {
+      auto SkipDigits = [&] {
+        while (P != End && classOf(*P) == Digit)
+          ++P;
+      };
+      SkipDigits();
+      bool IsFloat = false;
+      // Accept a fractional part, but not the range operator "..".
+      if (P != End && *P == '.' && classOf(Next(P)) == Digit) {
+        IsFloat = true;
+        ++P;
+        SkipDigits();
+      }
+      // An exponent needs a digit; otherwise the 'e' starts the next token.
+      if (P != End && (*P == 'e' || *P == 'E')) {
+        const char *Exp = P + 1;
+        if (Exp != End && (*Exp == '+' || *Exp == '-'))
+          ++Exp;
+        if (Exp != End && classOf(*Exp) == Digit) {
+          IsFloat = true;
+          P = Exp;
+          SkipDigits();
+        }
+      }
+      Token &T = Emit(IsFloat ? TokKind::FloatLit : TokKind::IntLit);
+      if (IsFloat) {
+        T.FloatValue = std::strtod(std::string(T.Text).c_str(), nullptr);
+      } else if (std::from_chars(Start, P, T.IntValue).ec != std::errc()) {
+        return Error(ErrorKind::Lex, "integer literal out of range", Loc);
+      }
+      continue;
+    }
+    case Punct:
+      break;
+    case Invalid:
+      return Error(ErrorKind::Lex,
+                   std::string("unexpected character '") + *P + "'", Loc);
+    }
+
+    char C = *P, C1 = Next(P);
+    auto Op = [&](TokKind K, int Len) {
+      P += Len;
+      Emit(K);
+    };
+    // A one-character operator, or its two-character form when '=' follows.
+    auto OpEq = [&](TokKind Plain, TokKind WithEq) {
+      if (C1 == '=')
+        Op(WithEq, 2);
+      else
+        Op(Plain, 1);
+    };
     switch (C) {
     case '(':
-      return Make(TokKind::LParen, 1);
+      Op(TokKind::LParen, 1);
+      continue;
     case ')':
-      return Make(TokKind::RParen, 1);
+      Op(TokKind::RParen, 1);
+      continue;
     case '{':
-      return Make(TokKind::LBrace, 1);
+      Op(TokKind::LBrace, 1);
+      continue;
     case '}':
-      return Make(TokKind::RBrace, 1);
+      Op(TokKind::RBrace, 1);
+      continue;
     case '[':
-      return Make(TokKind::LBracket, 1);
+      Op(TokKind::LBracket, 1);
+      continue;
     case ']':
-      return Make(TokKind::RBracket, 1);
+      Op(TokKind::RBracket, 1);
+      continue;
     case ';':
-      return Make(TokKind::Semi, 1);
+      Op(TokKind::Semi, 1);
+      continue;
     case ',':
-      return Make(TokKind::Comma, 1);
+      Op(TokKind::Comma, 1);
+      continue;
     case ':':
-      return peek(1) == '=' ? Make(TokKind::Assign, 2)
-                            : Make(TokKind::Colon, 1);
+      OpEq(TokKind::Colon, TokKind::Assign);
+      continue;
     case '.':
-      if (peek(1) == '.')
-        return Make(TokKind::DotDot, 2);
-      break;
+      if (C1 != '.')
+        break;
+      Op(TokKind::DotDot, 2);
+      continue;
     case '-':
-      if (peek(1) == '-' && peek(2) == '-')
-        return Make(TokKind::SeqSep, 3);
-      if (peek(1) == '=')
-        return Make(TokKind::MinusEq, 2);
-      return Make(TokKind::Minus, 1);
+      if (C1 == '-' && Next(P + 1) == '-')
+        Op(TokKind::SeqSep, 3);
+      else
+        OpEq(TokKind::Minus, TokKind::MinusEq);
+      continue;
     case '+':
-      return peek(1) == '=' ? Make(TokKind::PlusEq, 2)
-                            : Make(TokKind::Plus, 1);
+      OpEq(TokKind::Plus, TokKind::PlusEq);
+      continue;
     case '*':
-      return peek(1) == '=' ? Make(TokKind::StarEq, 2)
-                            : Make(TokKind::Star, 1);
+      OpEq(TokKind::Star, TokKind::StarEq);
+      continue;
     case '/':
-      return peek(1) == '=' ? Make(TokKind::SlashEq, 2)
-                            : Make(TokKind::Slash, 1);
+      if (C1 == '/') {
+        const void *NL = std::memchr(P, '\n', End - P);
+        P = NL ? static_cast<const char *>(NL) : End;
+      } else if (C1 == '*') {
+        for (P += 2;; ++P) {
+          if (P == End)
+            return Error(ErrorKind::Lex, "unterminated block comment", Loc);
+          if (*P == '*' && Next(P) == '/')
+            break;
+          if (*P == '\n') {
+            LineStart = P + 1;
+            ++Line;
+          }
+        }
+        P += 2;
+      } else {
+        OpEq(TokKind::Slash, TokKind::SlashEq);
+      }
+      continue;
     case '%':
-      return Make(TokKind::Percent, 1);
+      Op(TokKind::Percent, 1);
+      continue;
     case '=':
-      return peek(1) == '=' ? Make(TokKind::EqEq, 2)
-                            : Make(TokKind::Equal, 1);
+      OpEq(TokKind::Equal, TokKind::EqEq);
+      continue;
     case '!':
-      if (peek(1) == '=')
-        return Make(TokKind::NotEq, 2);
-      break;
+      if (C1 != '=')
+        break;
+      Op(TokKind::NotEq, 2);
+      continue;
     case '<':
-      return peek(1) == '=' ? Make(TokKind::Le, 2) : Make(TokKind::Lt, 1);
+      OpEq(TokKind::Lt, TokKind::Le);
+      continue;
     case '>':
-      return peek(1) == '=' ? Make(TokKind::Ge, 2) : Make(TokKind::Gt, 1);
+      OpEq(TokKind::Gt, TokKind::Ge);
+      continue;
     case '&':
-      if (peek(1) == '&')
-        return Make(TokKind::AndAnd, 2);
-      break;
+      if (C1 != '&')
+        break;
+      Op(TokKind::AndAnd, 2);
+      continue;
     case '|':
-      if (peek(1) == '|')
-        return Make(TokKind::OrOr, 2);
-      break;
+      if (C1 != '|')
+        break;
+      Op(TokKind::OrOr, 2);
+      continue;
     default:
       break;
     }
     return Error(ErrorKind::Lex,
                  std::string("unexpected character '") + C + "'", Loc);
   }
-};
-
-} // namespace
-
-Result<std::vector<Token>> dahlia::lex(std::string_view Source) {
-  return Scanner(Source).run();
+  Toks.push_back({TokKind::Eof, std::string_view(), 0, 0, LocOf(P)});
+  return Toks;
 }

@@ -10,6 +10,11 @@
 /// ordered-composition separator `---`, the range `..`, the assignment
 /// `:=`, and the reducers `+=` `-=` `*=` `/=`.
 ///
+/// The lexer runs once per configuration in checker-in-the-loop DSE, so it
+/// is a single table-driven loop that appends tokens straight into one
+/// vector and copies no text: every token's \c Text is a view into the
+/// source buffer.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAHLIA_LEXER_LEXER_H
@@ -19,7 +24,6 @@
 #include "support/SourceLoc.h"
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -87,11 +91,16 @@ enum class TokKind {
 /// Human-readable token-kind name for diagnostics.
 const char *tokKindName(TokKind Kind);
 
-/// One lexed token. \c Text is the source spelling for identifiers and
-/// literals; \c IntValue / \c FloatValue carry decoded literal values.
+/// One lexed token. \c Text is the token's source spelling (empty for
+/// Eof); \c IntValue / \c FloatValue carry decoded literal values.
+///
+/// Lifetime: \c Text borrows from the buffer passed to lex(), so that
+/// buffer must outlive every token lexed from it. Copy the text into a
+/// std::string before keeping it past the source (the parser does so for
+/// the identifiers it puts into the AST).
 struct Token {
   TokKind Kind = TokKind::Eof;
-  std::string Text;
+  std::string_view Text;
   int64_t IntValue = 0;
   double FloatValue = 0;
   SourceLoc Loc;
@@ -101,7 +110,10 @@ struct Token {
 
 /// Lexes \p Source in one pass; `//` line comments and `/* */` block
 /// comments are skipped. Returns the token stream (terminated by Eof) or
-/// the first lexical error.
+/// the first lexical error: an unterminated block comment, a character
+/// outside the language (every byte >= 0x80 included), or an integer
+/// literal that does not fit in int64_t. The tokens borrow from
+/// \p Source; see Token.
 Result<std::vector<Token>> lex(std::string_view Source);
 
 } // namespace dahlia

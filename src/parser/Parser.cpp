@@ -9,8 +9,6 @@
 
 #include "lexer/Lexer.h"
 
-#include <sstream>
-
 using namespace dahlia;
 
 namespace {
@@ -40,7 +38,7 @@ public:
       break;
     }
     if (!at(TokKind::Eof)) {
-      Result<CmdPtr> Body = parseCmdSeq({TokKind::Eof});
+      Result<CmdPtr> Body = parseCmdSeq(TokKind::Eof);
       if (!Body)
         return Body.error();
       P.Body = Body.take();
@@ -53,7 +51,7 @@ public:
   }
 
   Result<CmdPtr> parseCommandTop() {
-    Result<CmdPtr> C = parseCmdSeq({TokKind::Eof});
+    Result<CmdPtr> C = parseCmdSeq(TokKind::Eof);
     if (!C)
       return C.error();
     if (ResultVoid R = expect(TokKind::Eof); !R)
@@ -103,8 +101,8 @@ private:
   }
   bool at(TokKind K) const { return cur().is(K); }
 
-  Token eat() {
-    Token T = cur();
+  const Token &eat() {
+    const Token &T = cur();
     if (Pos + 1 < Toks.size())
       ++Pos;
     return T;
@@ -124,17 +122,15 @@ private:
   ResultVoid expect(TokKind K) {
     if (accept(K))
       return ResultVoid();
-    std::ostringstream OS;
-    OS << "expected " << tokKindName(K) << " but found "
-       << tokKindName(cur().Kind);
-    return err(OS.str());
+    return err(std::string("expected ") + tokKindName(K) + " but found " +
+               tokKindName(cur().Kind));
   }
 
   Result<std::string> expectIdent() {
     if (!at(TokKind::Ident))
       return err(std::string("expected identifier but found ") +
                  tokKindName(cur().Kind));
-    return eat().Text;
+    return std::string(eat().Text);
   }
 
   Result<int64_t> expectInt() {
@@ -197,7 +193,7 @@ private:
     if (!at(TokKind::Ident))
       return err(std::string("expected type but found ") +
                  tokKindName(cur().Kind));
-    std::string Name = eat().Text;
+    std::string_view Name = eat().Text;
     if (Name == "bool")
       return Type::getBool();
     if (Name == "float")
@@ -216,7 +212,7 @@ private:
         return R.error();
       return Type::getBit(static_cast<unsigned>(*W), Name == "bit");
     }
-    return err("unknown type '" + Name + "'");
+    return err("unknown type '" + std::string(Name) + "'");
   }
 
   //===--------------------------------------------------------------------===//
@@ -350,7 +346,7 @@ private:
 
   Result<ExprPtr> parsePostfix() {
     if (at(TokKind::Ident)) {
-      Token Id = eat();
+      const Token &Id = eat();
       // Function application.
       if (at(TokKind::LParen)) {
         eat();
@@ -367,8 +363,8 @@ private:
         }
         if (ResultVoid R = expect(TokKind::RParen); !R)
           return R.error();
-        return ExprPtr(
-            std::make_unique<AppExpr>(Id.Text, std::move(Args), Id.Loc));
+        return ExprPtr(std::make_unique<AppExpr>(std::string(Id.Text),
+                                                 std::move(Args), Id.Loc));
       }
       // Physical access A{b}[i].
       if (at(TokKind::LBrace)) {
@@ -386,7 +382,7 @@ private:
         if (ResultVoid R = expect(TokKind::RBracket); !R)
           return R.error();
         return ExprPtr(std::make_unique<PhysAccessExpr>(
-            Id.Text, Bank.take(), Off.take(), Id.Loc));
+            std::string(Id.Text), Bank.take(), Off.take(), Id.Loc));
       }
       // Logical access A[e][e']...
       if (at(TokKind::LBracket)) {
@@ -400,9 +396,10 @@ private:
             return R.error();
         }
         return ExprPtr(std::make_unique<AccessExpr>(
-            Id.Text, std::move(Indices), Id.Loc));
+            std::string(Id.Text), std::move(Indices), Id.Loc));
       }
-      return ExprPtr(std::make_unique<VarExpr>(Id.Text, Id.Loc));
+      return ExprPtr(
+          std::make_unique<VarExpr>(std::string(Id.Text), Id.Loc));
     }
     return parsePrimary();
   }
@@ -410,21 +407,17 @@ private:
   Result<ExprPtr> parsePrimary() {
     switch (cur().Kind) {
     case TokKind::IntLit: {
-      Token T = eat();
+      const Token &T = eat();
       return ExprPtr(std::make_unique<IntLitExpr>(T.IntValue, T.Loc));
     }
     case TokKind::FloatLit: {
-      Token T = eat();
+      const Token &T = eat();
       return ExprPtr(std::make_unique<FloatLitExpr>(T.FloatValue, T.Loc));
     }
-    case TokKind::KwTrue: {
-      Token T = eat();
-      return ExprPtr(std::make_unique<BoolLitExpr>(true, T.Loc));
-    }
-    case TokKind::KwFalse: {
-      Token T = eat();
-      return ExprPtr(std::make_unique<BoolLitExpr>(false, T.Loc));
-    }
+    case TokKind::KwTrue:
+      return ExprPtr(std::make_unique<BoolLitExpr>(true, eat().Loc));
+    case TokKind::KwFalse:
+      return ExprPtr(std::make_unique<BoolLitExpr>(false, eat().Loc));
     case TokKind::LParen: {
       eat();
       Result<ExprPtr> E = parseExpr();
@@ -444,15 +437,9 @@ private:
   // Commands
   //===--------------------------------------------------------------------===//
 
-  bool atAny(const std::vector<TokKind> &Kinds) const {
-    for (TokKind K : Kinds)
-      if (at(K))
-        return true;
-    return false;
-  }
-
-  /// cmd := par ('---' par)*
-  Result<CmdPtr> parseCmdSeq(const std::vector<TokKind> &Stop) {
+  /// cmd := par ('---' par)*, ending before \p Stop (the closing brace of
+  /// a block, or Eof at top level).
+  Result<CmdPtr> parseCmdSeq(TokKind Stop) {
     SourceLoc Loc = cur().Loc;
     std::vector<CmdPtr> Steps;
     while (true) {
@@ -470,10 +457,10 @@ private:
 
   /// par := stmt* — adjacency is unordered composition; ';' terminators are
   /// optional after block-shaped statements.
-  Result<CmdPtr> parseParGroup(const std::vector<TokKind> &Stop) {
+  Result<CmdPtr> parseParGroup(TokKind Stop) {
     SourceLoc Loc = cur().Loc;
     std::vector<CmdPtr> Stmts;
-    while (!atAny(Stop) && !at(TokKind::SeqSep) && !at(TokKind::Eof)) {
+    while (!at(Stop) && !at(TokKind::SeqSep) && !at(TokKind::Eof)) {
       Result<CmdPtr> S = parseStmt();
       if (!S)
         return S;
@@ -499,10 +486,8 @@ private:
       return parseWhile();
     case TokKind::KwFor:
       return parseFor();
-    case TokKind::KwSkip: {
-      Token T = eat();
-      return CmdPtr(std::make_unique<SkipCmd>(T.Loc));
-    }
+    case TokKind::KwSkip:
+      return CmdPtr(std::make_unique<SkipCmd>(eat().Loc));
     case TokKind::LBrace:
       return parseBlock();
     default:
@@ -518,7 +503,7 @@ private:
     SourceLoc Loc = cur().Loc;
     if (ResultVoid R = expect(TokKind::LBrace); !R)
       return R.error();
-    Result<CmdPtr> Body = parseCmdSeq({TokKind::RBrace});
+    Result<CmdPtr> Body = parseCmdSeq(TokKind::RBrace);
     if (!Body)
       return Body;
     if (ResultVoid R = expect(TokKind::RBrace); !R)

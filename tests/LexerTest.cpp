@@ -7,7 +7,12 @@
 
 #include "lexer/Lexer.h"
 
+#include "kernels/Kernels.h"
+#include "support/StableHash.h"
+
 #include <gtest/gtest.h>
+
+#include <bit>
 
 using namespace dahlia;
 
@@ -91,6 +96,11 @@ TEST(Lexer, UnterminatedBlockCommentIsError) {
 TEST(Lexer, UnknownCharacterIsError) {
   Result<std::vector<Token>> R = lex("a $ b");
   EXPECT_FALSE(bool(R));
+  // Bytes outside ASCII are not letters, whatever the locale says.
+  R = lex("a \xc3\xa9 b");
+  ASSERT_FALSE(bool(R));
+  EXPECT_EQ(R.error().message(), "unexpected character '\xc3'");
+  EXPECT_EQ(R.error().loc(), SourceLoc(1, 3));
 }
 
 TEST(Lexer, ReducerOperators) {
@@ -127,6 +137,77 @@ TEST(Lexer, PhysicalAccessBraces) {
       TokKind::Ident,  TokKind::LBrace,   TokKind::IntLit, TokKind::RBrace,
       TokKind::LBracket, TokKind::IntLit, TokKind::RBracket, TokKind::Eof};
   EXPECT_EQ(Kinds, Expected);
+}
+
+TEST(Lexer, RewoundExponentKeepsColumns) {
+  // "1ex" is the integer 1 followed by the identifier "ex": the 'e' is not
+  // an exponent, so the scanner backs up, and the column must back up too.
+  Result<std::vector<Token>> R = lex("1ex e");
+  ASSERT_TRUE(bool(R));
+  ASSERT_EQ(R->size(), 4u);
+  EXPECT_EQ((*R)[0].Kind, TokKind::IntLit);
+  EXPECT_EQ((*R)[0].IntValue, 1);
+  EXPECT_EQ((*R)[1].Kind, TokKind::Ident);
+  EXPECT_EQ((*R)[1].Text, "ex");
+  EXPECT_EQ((*R)[1].Loc, SourceLoc(1, 2));
+  EXPECT_EQ((*R)[2].Loc, SourceLoc(1, 5));
+  EXPECT_EQ((*R)[3].Loc, SourceLoc(1, 6));
+
+  R = lex("2E+y");
+  ASSERT_TRUE(bool(R));
+  EXPECT_EQ((*R)[1].Kind, TokKind::Ident);
+  EXPECT_EQ((*R)[1].Loc, SourceLoc(1, 2));
+  EXPECT_EQ((*R)[2].Kind, TokKind::Plus);
+  EXPECT_EQ((*R)[2].Loc, SourceLoc(1, 3));
+}
+
+TEST(Lexer, OutOfRangeIntegerIsError) {
+  Result<std::vector<Token>> R = lex("9223372036854775807");
+  ASSERT_TRUE(bool(R));
+  EXPECT_EQ((*R)[0].IntValue, INT64_MAX);
+
+  for (const char *Src :
+       {"x := 99999999999999999999;", "x := 9223372036854775808;"}) {
+    R = lex(Src);
+    ASSERT_FALSE(bool(R)) << Src;
+    EXPECT_EQ(R.error().kind(), ErrorKind::Lex);
+    EXPECT_EQ(R.error().message(), "integer literal out of range");
+    EXPECT_EQ(R.error().loc(), SourceLoc(1, 6));
+  }
+}
+
+uint64_t foldTokens(uint64_t H, std::string_view Src) {
+  Result<std::vector<Token>> R = lex(Src);
+  EXPECT_TRUE(bool(R)) << (R ? "" : R.error().str());
+  if (!R)
+    return H;
+  for (const Token &T : *R) {
+    H = stableHashCombine(H, static_cast<uint64_t>(T.Kind));
+    H = stableHashCombine(H, stableHash(T.Text));
+    H = stableHashCombine(H, static_cast<uint64_t>(T.IntValue));
+    H = stableHashCombine(H, std::bit_cast<uint64_t>(T.FloatValue));
+    H = stableHashCombine(H, T.Loc.Line);
+    H = stableHashCombine(H, T.Loc.Col);
+  }
+  return H;
+}
+
+TEST(Lexer, DseSpaceTokensArePinnedBitForBit) {
+  // Every token of every configuration's Dahlia source across the four
+  // DSE spaces (Figures 7 and 8), folded into one digest. The literal was
+  // generated by the previous, map-and-copy lexer, so any drift in a
+  // token's kind, spelling, value or location fails here.
+  using namespace dahlia::kernels;
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (const GemmBlockedConfig &C : gemmBlockedSpace())
+    H = foldTokens(H, gemmBlockedDahlia(C));
+  for (const Stencil2dConfig &C : stencil2dSpace())
+    H = foldTokens(H, stencil2dDahlia(C));
+  for (const MdKnnConfig &C : mdKnnSpace())
+    H = foldTokens(H, mdKnnDahlia(C));
+  for (const MdGridConfig &C : mdGridSpace())
+    H = foldTokens(H, mdGridDahlia(C));
+  EXPECT_EQ(H, 0x6f8009932a3b2fc1ULL);
 }
 
 } // namespace

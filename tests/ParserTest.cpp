@@ -8,6 +8,8 @@
 #include "parser/Parser.h"
 
 #include "ast/ASTPrinter.h"
+#include "kernels/Kernels.h"
+#include "support/StableHash.h"
 
 #include <gtest/gtest.h>
 
@@ -279,6 +281,30 @@ TEST(Parser, NestingJustUnderTheLimitParses) {
   Blocks += "let y = 1;";
   Blocks += std::string(100, '}');
   EXPECT_TRUE(bool(parseCommand(Blocks)));
+}
+
+uint64_t foldPrinted(uint64_t H, std::string_view Src) {
+  Result<Program> P = parseProgram(Src);
+  EXPECT_TRUE(bool(P)) << (P ? "" : P.error().str());
+  return P ? stableHash(printProgram(*P), H) : H;
+}
+
+TEST(Parser, DseSpaceProgramsArePinnedBitForBit) {
+  // printProgram of every configuration's parsed Dahlia source across the
+  // four DSE spaces (Figures 7 and 8), folded into one digest. The literal
+  // was generated by the previous copying parser and stream printer, so a
+  // drift in the parsed AST or in the printed text fails here.
+  using namespace dahlia::kernels;
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (const GemmBlockedConfig &C : gemmBlockedSpace())
+    H = foldPrinted(H, gemmBlockedDahlia(C));
+  for (const Stencil2dConfig &C : stencil2dSpace())
+    H = foldPrinted(H, stencil2dDahlia(C));
+  for (const MdKnnConfig &C : mdKnnSpace())
+    H = foldPrinted(H, mdKnnDahlia(C));
+  for (const MdGridConfig &C : mdGridSpace())
+    H = foldPrinted(H, mdGridDahlia(C));
+  EXPECT_EQ(H, 0x2175d6c1514e2de3ULL);
 }
 
 } // namespace
