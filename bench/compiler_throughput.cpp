@@ -9,8 +9,9 @@
 // runs 32,000 parse+check cycles. All stage sequencing goes through the
 // CompilerPipeline driver layer, so these numbers include the driver's
 // own (small) dispatch and timing overhead — exactly what DSE pays.
-// The *Knn pair repeats lex and check on the default md-knn source, so
-// the per-layer numbers cover the Figure 8 sweeps as well as gemm.
+// The *Knn benchmarks repeat lex, check and the verdict-only check on the
+// default md-knn source, so the per-layer numbers cover the Figure 8
+// sweeps as well as gemm.
 //
 //===----------------------------------------------------------------------===//
 
@@ -80,6 +81,16 @@ void BM_CheckKnn(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CheckKnn);
+
+void BM_VerdictKnn(benchmark::State &State) {
+  // The DSE's per-config question: accept or reject, stopping at the
+  // first diagnostic (CompilerPipeline::accepts).
+  for (auto _ : State) {
+    bool Accepted = pipeline().accepts(knnSource());
+    benchmark::DoNotOptimize(Accepted);
+  }
+}
+BENCHMARK(BM_VerdictKnn);
 
 void BM_EmitHls(benchmark::State &State) {
   for (auto _ : State) {

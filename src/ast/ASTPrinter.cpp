@@ -39,9 +39,10 @@ struct StringSink {
 /// Stateful printer accumulating into one string.
 class Printer {
 public:
-  std::string exprStr(const Expr &E) {
+  void appendExpr(std::string &Out, const Expr &E) {
+    OS.Str.swap(Out);
     printExprNode(E);
-    return take();
+    OS.Str.swap(Out);
   }
 
   std::string cmdStr(const Cmd &C, unsigned Indent) {
@@ -328,7 +329,15 @@ private:
 
 } // namespace
 
-std::string dahlia::printExpr(const Expr &E) { return Printer().exprStr(E); }
+std::string dahlia::printExpr(const Expr &E) {
+  std::string S;
+  appendExpr(S, E);
+  return S;
+}
+
+void dahlia::appendExpr(std::string &Out, const Expr &E) {
+  Printer().appendExpr(Out, E);
+}
 
 std::string dahlia::printCmd(const Cmd &C, unsigned Indent) {
   return Printer().cmdStr(C, Indent);

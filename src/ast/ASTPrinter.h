@@ -23,6 +23,9 @@ namespace dahlia {
 /// Renders \p E in surface syntax.
 std::string printExpr(const Expr &E);
 
+/// Appends the rendering of \p E to \p Out, reusing its capacity.
+void appendExpr(std::string &Out, const Expr &E);
+
 /// Renders \p C in surface syntax, indented by \p Indent levels.
 std::string printCmd(const Cmd &C, unsigned Indent = 0);
 

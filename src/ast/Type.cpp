@@ -12,50 +12,58 @@
 using namespace dahlia;
 
 TypeRef Type::getBool() {
-  static TypeRef T(new Type(TypeKind::Bool));
+  static const TypeRef T = make(TypeKind::Bool);
   return T;
 }
 
 TypeRef Type::getFloat() {
-  static TypeRef T(new Type(TypeKind::Float));
+  static const TypeRef T = make(TypeKind::Float);
   return T;
 }
 
 TypeRef Type::getDouble() {
-  static TypeRef T(new Type(TypeKind::Double));
+  static const TypeRef T = make(TypeKind::Double);
   return T;
 }
 
 TypeRef Type::getVoid() {
-  static TypeRef T(new Type(TypeKind::Void));
+  static const TypeRef T = make(TypeKind::Void);
   return T;
 }
 
 TypeRef Type::getBit(unsigned Width, bool IsSigned) {
-  auto *T = new Type(TypeKind::Bit);
-  T->Width = Width;
-  T->Signed = IsSigned;
-  return TypeRef(T);
+  auto Build = [&] {
+    std::shared_ptr<Type> T = make(TypeKind::Bit);
+    T->Width = Width;
+    T->Signed = IsSigned;
+    return T;
+  };
+  // bit<32> is the type of every integer literal; share one instance.
+  if (Width == 32 && IsSigned) {
+    static const TypeRef Bit32 = Build();
+    return Bit32;
+  }
+  return Build();
 }
 
 TypeRef Type::getIdx(int64_t Lo, int64_t Hi, int64_t DynLo, int64_t DynHi) {
   assert(Lo <= Hi && "idx static interval inverted");
-  auto *T = new Type(TypeKind::Idx);
+  std::shared_ptr<Type> T = make(TypeKind::Idx);
   T->Lo = Lo;
   T->Hi = Hi;
   T->DynLo = DynLo;
   T->DynHi = DynHi;
-  return TypeRef(T);
+  return T;
 }
 
 TypeRef Type::getMem(TypeRef Elem, std::vector<MemDim> Dims, unsigned Ports) {
   assert(Elem && !Elem->isMem() && "memories of memories are not allowed");
   assert(!Dims.empty() && "memory needs at least one dimension");
-  auto *T = new Type(TypeKind::Mem);
+  std::shared_ptr<Type> T = make(TypeKind::Mem);
   T->Elem = std::move(Elem);
   T->Dims = std::move(Dims);
   T->Ports = Ports;
-  return TypeRef(T);
+  return T;
 }
 
 int64_t Type::memTotalBanks() const {

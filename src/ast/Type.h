@@ -148,7 +148,19 @@ public:
   std::string str() const;
 
 private:
-  explicit Type(TypeKind Kind) : Kind(Kind) {}
+  /// Restricts construction to the factories while still letting them
+  /// use std::make_shared (one allocation for the type and its count).
+  struct Key {
+    explicit Key() = default;
+  };
+
+public:
+  Type(Key, TypeKind Kind) : Kind(Kind) {}
+
+private:
+  static std::shared_ptr<Type> make(TypeKind Kind) {
+    return std::make_shared<Type>(Key(), Kind);
+  }
 
   TypeKind Kind;
   // Bit.

@@ -81,18 +81,23 @@ std::string CompileResult::firstError() const {
 
 namespace {
 
-/// Runs \p Body as stage \p S of \p R, recording its wall-clock time.
-template <typename Fn>
-void timedStage(CompileResult &R, Stage S, Fn &&Body) {
+/// Runs \p Body as stage \p S under the stage's span; returns its
+/// wall-clock seconds.
+template <typename Fn> double runStage(Stage S, Fn &&Body) {
   TRACE_SPAN(stageName(S));
   static metrics::Counter &Stages = metrics::counter("pipeline.stages_run");
   Stages.inc();
   auto Start = std::chrono::steady_clock::now();
   Body();
-  double Secs = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
-  R.Timings.push_back({S, Secs});
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
+
+/// Runs \p Body as stage \p S of \p R, recording its wall-clock time.
+template <typename Fn>
+void timedStage(CompileResult &R, Stage S, Fn &&Body) {
+  R.Timings.push_back({S, runStage(S, Body)});
 }
 
 } // namespace
@@ -175,8 +180,21 @@ CompileResult CompilerPipeline::run(std::string_view Source,
   return R;
 }
 
+bool CompilerPipeline::accepts(std::string_view Source) const {
+  std::optional<Program> Prog;
+  runStage(Stage::Parse, [&] {
+    Result<Program> P = parseProgram(Source);
+    if (P)
+      Prog = P.take();
+  });
+  bool Accepted = false;
+  if (Prog)
+    runStage(Stage::Check, [&] { Accepted = typeChecks(*Prog); });
+  return Accepted;
+}
+
 bool dahlia::driver::checksSource(std::string_view Src) {
-  return bool(CompilerPipeline().check(Src));
+  return CompilerPipeline().accepts(Src);
 }
 
 bool dahlia::driver::checksSource(std::string_view Src,

@@ -160,14 +160,19 @@ public:
     return run(Src, Stage::Simulate);
   }
 
+  /// Whether \p Src parses and type-checks: `bool(check(Src))`, under
+  /// the same stage spans, but the check stops at the first diagnostic
+  /// and no CompileResult is built. The DSE's per-config verdict.
+  bool accepts(std::string_view Src) const;
+
   const PipelineOptions &options() const { return Opts; }
 
 private:
   PipelineOptions Opts;
 };
 
-/// True when \p Src parses and type-checks cleanly. The terse predicate
-/// the DSE inner loops and acceptance tests use.
+/// True when \p Src parses and type-checks cleanly
+/// (CompilerPipeline::accepts). The terse predicate acceptance tests use.
 bool checksSource(std::string_view Src);
 
 /// As above; on failure \p FirstError receives the first diagnostic.

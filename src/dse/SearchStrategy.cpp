@@ -154,7 +154,7 @@ bool checkOne(const SearchContext &Ctx, driver::CompilerPipeline &Pipeline,
   bool Accepted = false;
   bool Hit = Ctx.Cache && Ctx.Cache->lookupVerdict(SrcKey, Accepted);
   if (!Hit) {
-    Accepted = bool(Pipeline.check(Src));
+    Accepted = Pipeline.accepts(Src);
     if (Ctx.Cache)
       Ctx.Cache->insertVerdict(SrcKey, Accepted);
   }

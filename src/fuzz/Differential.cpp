@@ -126,7 +126,7 @@ dahlia::fuzz::checkSource(const std::string &Src, const DiffOptions &O,
   driver::CompileResult C1 = P.check(Src);
   if (O.CheckDeterminism) {
     driver::CompileResult C2 = P.check(Src);
-    if (C1.ok() != C2.ok() ||
+    if (C1.ok() != C2.ok() || P.accepts(Src) != C1.ok() ||
         C1.Diags.render("f") != C2.Diags.render("f"))
       return makeFailure(Seed, "check-nondet",
                          "two checks of identical source disagreed: [" +
@@ -256,7 +256,7 @@ DiffReport dahlia::fuzz::runDifferential(uint64_t SeedBase, uint64_t Count,
       driver::CompilerPipeline Pipe = pipelineFor(O);
       driver::CompileResult M1 = Pipe.check(Mut);
       driver::CompileResult M2 = Pipe.check(Mut);
-      if (M1.ok() != M2.ok() ||
+      if (M1.ok() != M2.ok() || Pipe.accepts(Mut) != M1.ok() ||
           M1.Diags.render("m") != M2.Diags.render("m"))
         R.Failures.push_back(makeFailure(
             Seed, "mutant-check-nondet",

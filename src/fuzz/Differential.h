@@ -15,7 +15,9 @@
 /// Oracle-disagreement taxonomy (docs/fuzzing.md documents each kind):
 ///
 ///   * `check-nondet`   — type-checking the same source twice produced
-///                        different diagnostics (or a different verdict);
+///                        different diagnostics (or a different verdict),
+///                        or the early-stopping verdict path
+///                        (CompilerPipeline::accepts) disagreed;
 ///   * `interp-stuck`   — a program the checker accepted got stuck under
 ///                        the checked Filament semantics (the soundness
 ///                        theorem says this must never happen);
@@ -27,7 +29,7 @@
 ///   * `est-nondet` / `sim-nondet` — estimator or simulator returned
 ///                        different numbers for the same spec;
 ///   * `mutant-check-nondet` — frontend verdict on a byte-mutated source
-///                        changed between two runs.
+///                        changed between two runs or paths.
 ///
 /// Estimator==simulator equality is NOT an oracle: only the lower bound
 /// is proven for arbitrary programs (bench/sim_accuracy.cpp proves

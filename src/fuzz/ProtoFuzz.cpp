@@ -394,20 +394,39 @@ struct Soak {
       expectResponse(C, "blank-lines", 19, true);
   }
 
+  static constexpr size_t NumAttacks = 9;
+
+  /// Runs attack \p A of the catalog; the index fixes each attack's
+  /// place in a round and so its Rng seed.
+  void runAttack(size_t A, Rng &Rnd) {
+    switch (A) {
+    case 0:
+      return attackGarbage(Rnd);
+    case 1:
+      return attackTruncatedFrame(Rnd);
+    case 2:
+      return attackOversized(Rnd);
+    case 3:
+      return attackInterleaved(Rnd);
+    case 4:
+      return attackDeepJson(Rnd);
+    case 5:
+      return attackHalfOpen(Rnd);
+    case 6:
+      return attackAbandon(Rnd);
+    case 7:
+      return attackFloodThenDrain(Rnd);
+    case 8:
+      return attackBlankLines(Rnd);
+    }
+  }
+
   void runRound(int RoundIdx) {
     Round = RoundIdx;
-    using Attack = void (Soak::*)(Rng &);
-    static constexpr Attack Catalog[] = {
-        &Soak::attackGarbage,       &Soak::attackTruncatedFrame,
-        &Soak::attackOversized,     &Soak::attackInterleaved,
-        &Soak::attackDeepJson,      &Soak::attackHalfOpen,
-        &Soak::attackAbandon,       &Soak::attackFloodThenDrain,
-        &Soak::attackBlankLines,
-    };
-    for (size_t A = 0; A < sizeof(Catalog) / sizeof(Catalog[0]); ++A) {
+    for (size_t A = 0; A < NumAttacks; ++A) {
       Rng Rnd(O.Seed * 1000003 + static_cast<uint64_t>(RoundIdx) * 131 + A);
       ++R.Stats.Attacks;
-      (this->*Catalog[A])(Rnd);
+      runAttack(A, Rnd);
     }
     ++R.Stats.Rounds;
   }

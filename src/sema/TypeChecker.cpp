@@ -10,14 +10,45 @@
 #include "ast/ASTPrinter.h"
 
 #include <algorithm>
-#include <map>
+#include <charconv>
+#include <concepts>
+#include <deque>
 #include <optional>
-#include <set>
-#include <sstream>
+#include <string_view>
 
 using namespace dahlia;
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// Diagnostic text
+//===----------------------------------------------------------------------===//
+
+void appendPart(std::string &S, std::string_view Text) { S.append(Text); }
+
+void appendPart(std::string &S, std::integral auto V) {
+  char Buf[24];
+  S.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+/// Concatenates text and decimal integers into one diagnostic message.
+template <typename... Ts> std::string cat(const Ts &...Parts) {
+  std::string S;
+  (appendPart(S, Parts), ...);
+  return S;
+}
+
+/// Products and sums of copy counts saturate instead of wrapping: a nest
+/// of unrolled loops may fan an access out to more than 2^32 copies.
+uint64_t satMul(uint64_t A, uint64_t B) {
+  uint64_t R;
+  return __builtin_mul_overflow(A, B, &R) ? UINT64_MAX : R;
+}
+
+uint64_t satAdd(uint64_t A, uint64_t B) {
+  uint64_t R;
+  return __builtin_add_overflow(A, B, &R) ? UINT64_MAX : R;
+}
 
 //===----------------------------------------------------------------------===//
 // Index classification
@@ -34,8 +65,32 @@ struct IndexInfo {
   int64_t Lo = 0, Hi = 0;     ///< Interval bounds.
 };
 
-/// Per-dimension multiset of consumed banks (bank id -> access count).
-using BankMultiset = std::map<int64_t, unsigned>;
+/// Multiset of consumed banks of one dimension (or of the flattened bank
+/// space): (bank id, access count) pairs sorted by bank id.
+class BankMultiset {
+public:
+  using Entry = std::pair<int64_t, uint64_t>;
+
+  void add(int64_t Bank, uint64_t Count) {
+    if (Entries.empty() || Entries.back().first < Bank) {
+      Entries.emplace_back(Bank, Count);
+      return;
+    }
+    auto It = std::lower_bound(
+        Entries.begin(), Entries.end(), Bank,
+        [](const Entry &E, int64_t B) { return E.first < B; });
+    if (It != Entries.end() && It->first == Bank)
+      It->second = satAdd(It->second, Count);
+    else
+      Entries.insert(It, {Bank, Count});
+  }
+
+  auto begin() const { return Entries.begin(); }
+  auto end() const { return Entries.end(); }
+
+private:
+  std::vector<Entry> Entries;
+};
 
 /// Attempts to fold \p E to a compile-time integer constant.
 std::optional<int64_t> tryConstFold(const Expr &E) {
@@ -65,7 +120,7 @@ std::optional<int64_t> tryConstFold(const Expr &E) {
 }
 
 /// Whether \p E mentions the variable \p Name.
-bool mentionsVar(const Expr &E, const std::string &Name) {
+bool mentionsVar(const Expr &E, std::string_view Name) {
   switch (E.kind()) {
   case ExprKind::Var:
     return E.as<VarExpr>()->name() == Name;
@@ -100,21 +155,104 @@ bool mentionsVar(const Expr &E, const std::string &Name) {
 // Checker state
 //===----------------------------------------------------------------------===//
 
-/// Affine consumption state of one memory: per access route, how many ports
-/// of each flattened bank have been consumed in the current logical time
-/// step. Distinct routes (direct vs. each shift view) may not be mixed
-/// within a time step because the bank rotation of a shift view is unknown.
-struct MemState {
-  std::map<std::string, std::vector<unsigned>> ConsumedByRoute;
+/// The route an access reaches its root memory through: DirectRoute, or
+/// a shift view's rotation on top of a parent route, interned per checker.
+/// A shift view's bank rotation is unknown, so within a time step every
+/// access of one memory must go through the same route.
+using RouteId = uint32_t;
+constexpr RouteId DirectRoute = 0;
 
-  bool anyConsumed() const {
-    for (const auto &[Route, Banks] : ConsumedByRoute)
-      for (unsigned C : Banks)
-        if (C != 0)
-          return true;
+/// The affine consumption state of one logical time step: for each
+/// (memory slot, route) pair touched, the ports consumed of every
+/// flattened bank. Rows and their counters live in two flat vectors, in
+/// the same order, so copying a snapshot reuses the destination's
+/// capacity instead of allocating nodes.
+class AffineDelta {
+public:
+  /// The \p Banks counters of (\p Slot, \p Route), appended as zeros when
+  /// the pair has consumed nothing yet.
+  unsigned *counters(uint32_t Slot, RouteId Route, size_t Banks) {
+    if (const Row *R = find(Slot, Route))
+      return &Counts[R->Begin];
+    Rows.push_back({Slot, Route, Counts.size(), Banks});
+    Counts.resize(Counts.size() + Banks, 0);
+    return &Counts[Rows.back().Begin];
+  }
+
+  /// Whether memory \p Slot has consumed a port through a route other
+  /// than \p Route.
+  bool consumedOnOtherRoute(uint32_t Slot, RouteId Route) const {
+    for (const Row &R : Rows)
+      if (R.Slot == Slot && R.Route != Route &&
+          std::any_of(Counts.begin() + R.Begin,
+                      Counts.begin() + R.Begin + R.Banks,
+                      [](unsigned C) { return C != 0; }))
+        return true;
     return false;
   }
+
+  /// Pointwise maximum of consumption; the result treats a resource as
+  /// consumed if either side consumed it (set-intersection of
+  /// availability in the paper's formulation).
+  void mergeMax(const AffineDelta &From) {
+    for (const Row &R : From.Rows) {
+      const unsigned *Src = &From.Counts[R.Begin];
+      if (const Row *Dst = find(R.Slot, R.Route)) {
+        assert(Dst->Banks == R.Banks && "one memory, two bank counts");
+        for (size_t I = 0; I != R.Banks; ++I)
+          Counts[Dst->Begin + I] = std::max(Counts[Dst->Begin + I], Src[I]);
+        continue;
+      }
+      Rows.push_back({R.Slot, R.Route, Counts.size(), R.Banks});
+      Counts.insert(Counts.end(), Src, Src + R.Banks);
+    }
+  }
+
+  /// Drops the state of slots >= \p FirstSlot: memories whose scope ended.
+  void dropSlotsFrom(uint32_t FirstSlot) {
+    size_t KeptRows = 0, KeptCounts = 0;
+    for (const Row &R : Rows) {
+      if (R.Slot >= FirstSlot)
+        continue;
+      std::copy(Counts.begin() + R.Begin, Counts.begin() + R.Begin + R.Banks,
+                Counts.begin() + KeptCounts);
+      Rows[KeptRows++] = {R.Slot, R.Route, KeptCounts, R.Banks};
+      KeptCounts += R.Banks;
+    }
+    Rows.resize(KeptRows);
+    Counts.resize(KeptCounts);
+  }
+
+  void clear() {
+    Rows.clear();
+    Counts.clear();
+  }
+
+private:
+  struct Row {
+    uint32_t Slot;
+    RouteId Route;
+    size_t Begin; ///< First counter in Counts.
+    size_t Banks; ///< Counter count: the memory's flattened banks.
+  };
+  std::vector<Row> Rows;
+  std::vector<unsigned> Counts;
+
+  const Row *find(uint32_t Slot, RouteId Route) const {
+    for (const Row &R : Rows)
+      if (R.Slot == Slot && R.Route == Route)
+        return &R;
+    return nullptr;
+  }
 };
+
+/// The read capabilities acquired in the current time step, keyed by the
+/// printed access ("A[i][0]"). Copies reuse the destination's strings.
+using ReadCapSet = std::vector<std::string>;
+
+bool holds(const ReadCapSet &Caps, std::string_view Key) {
+  return std::find(Caps.begin(), Caps.end(), Key) != Caps.end();
+}
 
 /// Maps an under-dimension of a view to the view dimensions feeding it.
 /// Split views map two view dims onto one underlying dim; all other views
@@ -128,8 +266,8 @@ struct UnderDimMap {
 /// Checker-side record of a declared view.
 struct ViewInfo {
   ViewKind VK = ViewKind::Shrink;
-  std::string Under; ///< Immediate underlying memory or view name.
-  TypeRef Ty;        ///< The view's own memory type.
+  std::string_view Under; ///< Immediate underlying memory or view name.
+  TypeRef Ty;             ///< The view's own memory type.
   bool Rotated = false;
   std::vector<UnderDimMap> DimMaps; ///< Indexed by underlying dimension.
   /// Suffix/shift offset expressions (borrowed from the AST); accesses
@@ -138,28 +276,39 @@ struct ViewInfo {
   std::vector<const Expr *> Offsets;
 };
 
-/// A name binding in the variable scopes.
+/// A name binding in the variable scopes. Names are borrowed from the AST.
 struct Binding {
   enum Kind { Var, Mem, View, CombineReg } K = Var;
+  std::string_view Name;
   TypeRef Ty;
   size_t ForDepthAtDef = 0; ///< Enclosing for-loop count at definition.
+  uint32_t Slot = 0;        ///< Valid when K == Mem: dense affine-state id.
   ViewInfo VI;              ///< Valid when K == View.
 };
 
 /// Snapshot of the per-time-step affine state.
 struct StepSnapshot {
-  std::map<std::string, MemState> Delta;
-  std::set<std::string> ReadCaps;
+  AffineDelta Delta;
+  ReadCapSet ReadCaps;
 };
 
 /// The time-sensitive affine type checker.
 class Checker {
 public:
+  /// With \p StopAtFirst the checker records only the first diagnostic
+  /// and then unwinds: the accept/reject verdict the DSE asks for.
+  explicit Checker(bool StopAtFirst = false) : StopAtFirst(StopAtFirst) {}
+
   std::vector<Error> runProgram(Program &P) {
     for (FuncDef &F : P.Funcs) {
-      if (Funcs.count(F.Name))
+      auto It = std::find_if(Funcs.begin(), Funcs.end(),
+                             [&](const auto &E) { return E.first == F.Name; });
+      if (It != Funcs.end()) {
         diag(ErrorKind::Type, "function '" + F.Name + "' redefined", F.Loc);
-      Funcs[F.Name] = &F;
+        It->second = &F;
+      } else {
+        Funcs.emplace_back(F.Name, &F);
+      }
     }
     // Each function body is checked in its own closed world.
     for (FuncDef &F : P.Funcs)
@@ -189,13 +338,35 @@ public:
   }
 
 private:
+  const bool StopAtFirst;
+  bool Stopped = false; ///< Set by the first diagnostic under StopAtFirst.
   std::vector<Error> Errors;
-  std::vector<std::map<std::string, Binding>> Scopes;
-  std::map<std::string, FuncDef *> Funcs;
-  std::map<std::string, MemState> Delta;
-  std::set<std::string> ReadCaps;
+  /// Every live binding, innermost last; a scope is a suffix of it.
+  std::vector<Binding> Bindings;
+  struct ScopeMark {
+    size_t FirstBinding;
+    uint32_t FirstSlot;
+  };
+  std::vector<ScopeMark> Scopes;
+  /// Slot of the next declared memory. Slots are dense: a scope's
+  /// memories release theirs when it ends.
+  uint32_t NextSlot = 0;
+  std::vector<std::pair<std::string_view, FuncDef *>> Funcs;
+  AffineDelta Delta;
+  ReadCapSet ReadCaps;
+  /// Interned shift routes; RouteId I + 1 is Routes[I].
+  struct RouteTag {
+    std::string_view View;
+    RouteId Parent;
+  };
+  std::vector<RouteTag> Routes;
+  /// Snapshot buffers by nesting depth; see Scratch.
+  std::deque<StepSnapshot> SnapshotPool;
+  size_t SnapshotsInUse = 0;
+  /// Reused buffer for read-capability keys.
+  std::string Sig;
   /// Innermost-last stack of enclosing for loops: (iterator, unroll).
-  std::vector<std::pair<std::string, int64_t>> ForStack;
+  std::vector<std::pair<std::string_view, int64_t>> ForStack;
   /// ForStack depth at entry to the outermost enclosing while body, or
   /// NotInWhile. Unrolled copies of a while each run their own sequential
   /// loop — iteration schedules may diverge — so reads inside a while
@@ -210,48 +381,54 @@ private:
   // Diagnostics and scope management
   //===--------------------------------------------------------------------===//
 
-  void diag(ErrorKind K, const std::string &Msg, SourceLoc Loc) {
-    Errors.emplace_back(K, Msg, Loc);
+  void diag(ErrorKind K, std::string Msg, SourceLoc Loc) {
+    if (Stopped)
+      return;
+    Errors.emplace_back(K, std::move(Msg), Loc);
+    Stopped = StopAtFirst;
   }
 
-  void pushScope() { Scopes.emplace_back(); }
+  void pushScope() { Scopes.push_back({Bindings.size(), NextSlot}); }
 
   void popScope() {
     assert(!Scopes.empty() && "scope underflow");
-    // Memories die with their scope; drop their affine state.
-    for (const auto &[Name, B] : Scopes.back())
-      if (B.K == Binding::Mem)
-        Delta.erase(Name);
+    ScopeMark M = Scopes.back();
     Scopes.pop_back();
+    Bindings.erase(Bindings.begin() + M.FirstBinding, Bindings.end());
+    // Memories die with their scope; drop their affine state.
+    if (NextSlot != M.FirstSlot) {
+      Delta.dropSlotsFrom(M.FirstSlot);
+      NextSlot = M.FirstSlot;
+    }
   }
 
-  Binding *lookup(const std::string &Name) {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return &Found->second;
-    }
+  Binding *lookup(std::string_view Name) {
+    for (size_t I = Bindings.size(); I-- != 0;)
+      if (Bindings[I].Name == Name)
+        return &Bindings[I];
     return nullptr;
   }
 
-  bool declare(const std::string &Name, Binding B, SourceLoc Loc) {
+  bool declare(std::string_view Name, Binding B, SourceLoc Loc) {
     if (lookup(Name)) {
-      diag(ErrorKind::Type, "'" + Name + "' is already defined", Loc);
+      diag(ErrorKind::Type, cat("'", Name, "' is already defined"), Loc);
       return false;
     }
-    Scopes.back()[Name] = std::move(B);
+    B.Name = Name;
+    Bindings.push_back(std::move(B));
     return true;
   }
 
-  void declareMemory(const std::string &Name, TypeRef Ty, SourceLoc Loc) {
+  void declareMemory(std::string_view Name, TypeRef Ty, SourceLoc Loc) {
     if (!validateMemType(*Ty, Loc))
       return;
     Binding B;
     B.K = Binding::Mem;
     B.Ty = Ty;
     B.ForDepthAtDef = ForStack.size();
+    B.Slot = NextSlot;
     if (declare(Name, std::move(B), Loc))
-      Delta[Name]; // Fresh, unconsumed.
+      ++NextSlot; // Fresh, unconsumed.
   }
 
   /// Enforces the declaration-side banking rule: every banking factor must
@@ -269,10 +446,10 @@ private:
         diag(ErrorKind::Banking, "banking factor must be positive", Loc);
         OK = false;
       } else if (D.Size >= 1 && D.Size % D.Banks != 0) {
-        std::ostringstream OS;
-        OS << "banking factor " << D.Banks
-           << " does not evenly divide dimension size " << D.Size;
-        diag(ErrorKind::Banking, OS.str(), Loc);
+        diag(ErrorKind::Banking,
+             cat("banking factor ", D.Banks,
+                 " does not evenly divide dimension size ", D.Size),
+             Loc);
         OK = false;
       }
     }
@@ -283,28 +460,39 @@ private:
   // Affine state snapshots
   //===--------------------------------------------------------------------===//
 
-  StepSnapshot snapshot() const { return {Delta, ReadCaps}; }
+  /// A snapshot buffer borrowed from the pool for one construct. Nested
+  /// constructs borrow deeper buffers, and sibling constructs reuse the
+  /// same ones, so snapshots keep their capacity across the program.
+  class Scratch {
+  public:
+    explicit Scratch(Checker &C) : C(C), S(C.borrowSnapshot()) {}
+    Scratch(const Scratch &) = delete;
+    Scratch &operator=(const Scratch &) = delete;
+    ~Scratch() { --C.SnapshotsInUse; }
+    StepSnapshot *operator->() { return &S; }
 
-  void restore(const StepSnapshot &S) {
-    Delta = S.Delta;
-    ReadCaps = S.ReadCaps;
+  private:
+    Checker &C;
+    StepSnapshot &S;
+  };
+
+  StepSnapshot &borrowSnapshot() {
+    if (SnapshotsInUse == SnapshotPool.size())
+      SnapshotPool.emplace_back();
+    return SnapshotPool[SnapshotsInUse++];
   }
 
-  /// Pointwise maximum of consumption; the result treats a resource as
-  /// consumed if either side consumed it (set-intersection of availability
-  /// in the paper's formulation).
-  static void mergeDeltaMax(std::map<std::string, MemState> &Into,
-                            const std::map<std::string, MemState> &From) {
-    for (const auto &[Name, MS] : From) {
-      MemState &Dst = Into[Name];
-      for (const auto &[Route, Banks] : MS.ConsumedByRoute) {
-        std::vector<unsigned> &D = Dst.ConsumedByRoute[Route];
-        if (D.size() < Banks.size())
-          D.resize(Banks.size(), 0);
-        for (size_t I = 0; I != Banks.size(); ++I)
-          D[I] = std::max(D[I], Banks[I]);
-      }
-    }
+  void save(Scratch &S) const {
+    S->Delta = Delta;
+    S->ReadCaps = ReadCaps;
+  }
+
+  RouteId internRoute(std::string_view View, RouteId Parent) {
+    for (size_t I = 0; I != Routes.size(); ++I)
+      if (Routes[I].View == View && Routes[I].Parent == Parent)
+        return static_cast<RouteId>(I + 1);
+    Routes.push_back({View, Parent});
+    return static_cast<RouteId>(Routes.size());
   }
 
   //===--------------------------------------------------------------------===//
@@ -322,13 +510,13 @@ private:
     switch (Info.K) {
     case IndexInfo::Literal: {
       if (Info.Value < 0 || Info.Value >= Size) {
-        std::ostringstream OS;
-        OS << "index " << Info.Value << " out of bounds for dimension of size "
-           << Size << " of '" << MemName << "'";
-        diag(ErrorKind::Type, OS.str(), Loc);
+        diag(ErrorKind::Type,
+             cat("index ", Info.Value, " out of bounds for dimension of size ",
+                 Size, " of '", MemName, "'"),
+             Loc);
         return std::nullopt;
       }
-      Set[Info.Value % Banks] = 1;
+      Set.add(Info.Value % Banks, 1);
       return Set;
     }
     case IndexInfo::Interval: {
@@ -337,26 +525,26 @@ private:
         // A sequential iterator touches one statically unknown bank; be
         // conservative and reserve one port of every bank.
         for (int64_t B = 0; B != Banks; ++B)
-          Set[B] = 1;
+          Set.add(B, 1);
         return Set;
       }
       if (S != Banks) {
-        std::ostringstream OS;
-        OS << "insufficient banks: unroll factor " << S
-           << " does not match banking factor " << Banks << " of '" << MemName
-           << "' (use a shrink view for lower unrolling)";
-        diag(ErrorKind::Unroll, OS.str(), Loc);
+        diag(ErrorKind::Unroll,
+             cat("insufficient banks: unroll factor ", S,
+                 " does not match banking factor ", Banks, " of '", MemName,
+                 "' (use a shrink view for lower unrolling)"),
+             Loc);
         return std::nullopt;
       }
       // Lockstep copies touch each bank exactly once, whatever the shared
       // dynamic base offset is.
       for (int64_t B = 0; B != Banks; ++B)
-        Set[B] = 1;
+        Set.add(B, 1);
       return Set;
     }
     case IndexInfo::Dynamic: {
       if (Banks == 1) {
-        Set[0] = 1;
+        Set.add(0, 1);
         return Set;
       }
       diag(ErrorKind::Unroll,
@@ -387,25 +575,20 @@ private:
     return Info;
   }
 
-  /// Translates per-dimension bank multisets of a (possibly nested) view
-  /// access down to the root memory. Returns the root memory name and fills
-  /// \p Route with "direct" or a shift-view route tag.
-  std::string translateToRoot(const std::string &Name,
-                              std::vector<BankMultiset> &PerDim,
-                              std::string &Route, SourceLoc Loc) {
-    Route = "direct";
-    std::string Cur = Name;
-    while (true) {
-      Binding *B = lookup(Cur);
-      assert(B && "access target vanished during translation");
-      if (B->K == Binding::Mem)
-        return Cur;
+  /// Translates per-dimension bank multisets of an access through
+  /// \p Target (a memory or a possibly nested view) down to the root
+  /// memory. Returns the root memory's binding and sets \p Route to the
+  /// access route.
+  const Binding &translateToRoot(const Binding &Target,
+                                 std::vector<BankMultiset> &PerDim,
+                                 RouteId &Route) {
+    Route = DirectRoute;
+    const Binding *B = &Target;
+    while (B->K != Binding::Mem) {
       assert(B->K == Binding::View && "expected view binding");
       const ViewInfo &VI = B->VI;
       if (VI.Rotated)
-        Route = "shift:" + Cur + "|" + Route;
-      const Type &UnderTy = *lookup(VI.Under)->Ty;
-      (void)UnderTy;
+        Route = internRoute(B->Name, Route);
       std::vector<BankMultiset> Out(VI.DimMaps.size());
       const std::vector<MemDim> &ViewDims = B->Ty->memDims();
       for (size_t UD = 0; UD != VI.DimMaps.size(); ++UD) {
@@ -417,7 +600,7 @@ private:
           int64_t Bv = ViewDims[M.ViewDimA].Banks;
           for (const auto &[Bank, Count] : InA)
             for (int64_t J = 0; J != M.Factor; ++J)
-              Out[UD][Bank + J * Bv] += Count;
+              Out[UD].add(Bank + J * Bv, Count);
           break;
         }
         case ViewKind::Suffix:
@@ -436,15 +619,16 @@ private:
           int64_t Bb = ViewDims[M.ViewDimB].Banks;
           for (const auto &[BankA, CountA] : InA)
             for (const auto &[BankB, CountB] : InB)
-              Out[UD][BankA * Bb + BankB] += CountA * CountB;
+              Out[UD].add(BankA * Bb + BankB, satMul(CountA, CountB));
           break;
         }
         }
       }
       PerDim = std::move(Out);
-      Cur = VI.Under;
-      (void)Loc;
+      B = lookup(VI.Under);
+      assert(B && "access target vanished during translation");
     }
+    return *B;
   }
 
   /// Flattens per-dimension multisets into flattened-bank-id multisets
@@ -452,12 +636,12 @@ private:
   static BankMultiset flattenBanks(const std::vector<BankMultiset> &PerDim,
                                    const std::vector<MemDim> &Dims) {
     BankMultiset Flat;
-    Flat[0] = 1;
+    Flat.add(0, 1);
     for (size_t D = 0; D != PerDim.size(); ++D) {
       BankMultiset Next;
       for (const auto &[Acc, CountAcc] : Flat)
         for (const auto &[Bank, Count] : PerDim[D])
-          Next[Acc * Dims[D].Banks + Bank] += CountAcc * Count;
+          Next.add(Acc * Dims[D].Banks + Bank, satMul(CountAcc, Count));
       Flat = std::move(Next);
     }
     return Flat;
@@ -466,12 +650,19 @@ private:
   /// The number of identical copies an access inside unrolled loops fans
   /// out to: the product of unroll factors of enclosing for loops whose
   /// iterator the access does not mention.
-  unsigned copyMultiplicity(const Expr &AccessExpr) {
-    unsigned M = 1;
+  uint64_t copyMultiplicity(const Expr &AccessExpr) {
+    uint64_t M = 1;
     for (const auto &[Iter, Factor] : ForStack)
       if (Factor > 1 && !mentionsVar(AccessExpr, Iter))
-        M *= static_cast<unsigned>(Factor);
+        M = satMul(M, static_cast<uint64_t>(Factor));
     return M;
+  }
+
+  /// Iterators already counted into a read's copy multiplicity.
+  using CountedIters = std::vector<std::string_view>;
+
+  static bool counted(const CountedIters &Counted, std::string_view Iter) {
+    return std::find(Counted.begin(), Counted.end(), Iter) != Counted.end();
   }
 
   /// Reads through a view whose offsets mention an unrolled iterator are
@@ -479,35 +670,27 @@ private:
   /// banks), so they consume bank ports per copy instead of sharing one
   /// fetch. This is exactly why the paper's pre-split blocked dot product
   /// is rejected (Section 3.6).
-  unsigned viewCopyMultiplicity(const AccessExpr &A,
-                                std::set<std::string> *CountedOut = nullptr) {
-    unsigned M = 1;
-    std::set<std::string> Counted;
-    std::string Cur = A.mem();
-    while (true) {
-      Binding *B = lookup(Cur);
-      if (!B || B->K != Binding::View) {
-        if (CountedOut)
-          *CountedOut = std::move(Counted);
-        return M;
-      }
+  uint64_t viewCopyMultiplicity(const AccessExpr &A, CountedIters &Counted) {
+    uint64_t M = 1;
+    for (Binding *B = lookup(A.mem()); B && B->K == Binding::View;
+         B = lookup(B->VI.Under)) {
       for (const Expr *Off : B->VI.Offsets) {
         if (!Off)
           continue;
         for (const auto &[Iter, Factor] : ForStack) {
-          if (Factor <= 1 || Counted.count(Iter))
+          if (Factor <= 1 || counted(Counted, Iter))
             continue;
           bool InIndices = false;
           for (const ExprPtr &I : A.indices())
             InIndices = InIndices || mentionsVar(*I, Iter);
           if (!InIndices && mentionsVar(*Off, Iter)) {
-            M *= static_cast<unsigned>(Factor);
-            Counted.insert(Iter);
+            M = satMul(M, static_cast<uint64_t>(Factor));
+            Counted.push_back(Iter);
           }
         }
       }
-      Cur = B->VI.Under;
     }
+    return M;
   }
 
   /// The extra fan-out a read inside a while body pays: the product of
@@ -517,18 +700,18 @@ private:
   /// as independent sequential loops, so there is no lockstep time step
   /// on which identical fetches could be broadcast — each copy needs its
   /// own port.
-  unsigned whileLaneFanout(const Expr &AccessExpr,
-                           const std::set<std::string> &Counted) {
+  uint64_t whileLaneFanout(const Expr &AccessExpr,
+                           const CountedIters &Counted) {
     if (WhileForDepth == NotInWhile)
       return 1;
-    unsigned M = 1;
+    uint64_t M = 1;
     size_t E = WhileForDepth < ForStack.size() ? WhileForDepth
                                                : ForStack.size();
     for (size_t I = 0; I != E; ++I) {
       const auto &[Iter, Factor] = ForStack[I];
-      if (Factor > 1 && !Counted.count(Iter) &&
+      if (Factor > 1 && !counted(Counted, Iter) &&
           !mentionsVar(AccessExpr, Iter))
-        M *= static_cast<unsigned>(Factor);
+        M = satMul(M, static_cast<uint64_t>(Factor));
     }
     return M;
   }
@@ -538,56 +721,45 @@ private:
   /// except through per-copy view windows (viewCopyMultiplicity) and
   /// inside while bodies (whileLaneFanout), where they consume ports per
   /// copy.
-  unsigned readCopyMultiplicity(const AccessExpr &A) {
-    std::set<std::string> Counted;
-    unsigned M = viewCopyMultiplicity(A, &Counted);
-    return M * whileLaneFanout(A, Counted);
+  uint64_t readCopyMultiplicity(const AccessExpr &A) {
+    CountedIters Counted;
+    uint64_t M = viewCopyMultiplicity(A, Counted);
+    return satMul(M, whileLaneFanout(A, Counted));
   }
 
-  /// Consumes affine resources for one memory access. \p RootMem is the
-  /// root memory, \p Flat the flattened consumed-bank multiset, \p Route
-  /// the access route, \p Need the per-bank multiplicity factor (1 for
+  /// Consumes affine resources for one memory access. \p Mem is the root
+  /// memory, \p Flat the flattened consumed-bank multiset, \p Route the
+  /// access route, \p Need the per-bank multiplicity factor (1 for
   /// reads, copy multiplicity for writes).
-  void consume(const std::string &RootMem, const BankMultiset &Flat,
-               const std::string &Route, unsigned Need, SourceLoc Loc) {
-    Binding *B = lookup(RootMem);
-    assert(B && B->K == Binding::Mem && "consume on non-memory");
-    unsigned Ports = B->Ty->memPorts();
-    int64_t TotalBanks = B->Ty->memTotalBanks();
-    MemState &MS = Delta[RootMem];
-    // Route exclusion: a shift view's bank rotation is unknown, so within a
-    // time step all accesses must go through the same route.
-    for (const auto &[R, Banks] : MS.ConsumedByRoute) {
-      if (R == Route)
-        continue;
-      for (unsigned C : Banks)
-        if (C != 0) {
-          diag(ErrorKind::Affine,
-               "memory '" + RootMem +
-                   "' is accessed through conflicting routes in the same "
-                   "logical time step",
-               Loc);
-          return;
-        }
+  void consume(const Binding &Mem, const BankMultiset &Flat, RouteId Route,
+               uint64_t Need, SourceLoc Loc) {
+    assert(Mem.K == Binding::Mem && "consume on non-memory");
+    unsigned Ports = Mem.Ty->memPorts();
+    int64_t TotalBanks = Mem.Ty->memTotalBanks();
+    if (Delta.consumedOnOtherRoute(Mem.Slot, Route)) {
+      diag(ErrorKind::Affine,
+           cat("memory '", Mem.Name,
+               "' is accessed through conflicting routes in the same "
+               "logical time step"),
+           Loc);
+      return;
     }
-    std::vector<unsigned> &V = MS.ConsumedByRoute[Route];
-    V.resize(static_cast<size_t>(TotalBanks), 0);
+    unsigned *V =
+        Delta.counters(Mem.Slot, Route, static_cast<size_t>(TotalBanks));
     // Validate first, then commit, so errors do not corrupt the state.
     for (const auto &[Bank, Count] : Flat) {
       assert(Bank >= 0 && Bank < TotalBanks && "bank id out of range");
-      unsigned Want = Count * Need;
-      if (V[static_cast<size_t>(Bank)] + Want > Ports) {
-        std::ostringstream OS;
-        OS << "memory '" << RootMem << "' bank " << Bank
-           << " already consumed in this logical time step";
+      if (satAdd(V[Bank], satMul(Count, Need)) > Ports) {
+        std::string Msg = cat("memory '", Mem.Name, "' bank ", Bank,
+                              " already consumed in this logical time step");
         if (Need > 1)
-          OS << " (access fans out to " << Need << " unrolled copies)";
-        diag(ErrorKind::Affine, OS.str(), Loc);
+          Msg += cat(" (access fans out to ", Need, " unrolled copies)");
+        diag(ErrorKind::Affine, std::move(Msg), Loc);
         return;
       }
     }
     for (const auto &[Bank, Count] : Flat)
-      V[static_cast<size_t>(Bank)] += Count * Need;
+      V[Bank] += static_cast<unsigned>(Count * Need);
   }
 
   //===--------------------------------------------------------------------===//
@@ -601,6 +773,8 @@ private:
   }
 
   TypeRef checkExprImpl(Expr &E, bool AllowMemRef) {
+    if (Stopped)
+      return Type::getFloat();
     switch (E.kind()) {
     case ExprKind::IntLit:
       return Type::getBit(32, true);
@@ -719,11 +893,11 @@ private:
     const Type &MemTy = *B->Ty;
     const std::vector<MemDim> &Dims = MemTy.memDims();
     if (A.indices().size() != Dims.size()) {
-      std::ostringstream OS;
-      OS << "memory '" << A.mem() << "' has " << Dims.size()
-         << " dimension(s) but is accessed with " << A.indices().size()
-         << " index(es)";
-      diag(ErrorKind::Type, OS.str(), A.loc());
+      diag(ErrorKind::Type,
+           cat("memory '", A.mem(), "' has ", Dims.size(),
+               " dimension(s) but is accessed with ", A.indices().size(),
+               " index(es)"),
+           A.loc());
       return MemTy.memElem();
     }
     // Type and classify every index.
@@ -751,18 +925,18 @@ private:
       return MemTy.memElem();
 
     // Reads of the same location within a time step share one capability.
-    std::string Sig = printExpr(A);
-    if (!IsWrite && ReadCaps.count(Sig))
+    Sig.clear();
+    appendExpr(Sig, A);
+    if (!IsWrite && holds(ReadCaps, Sig))
       return MemTy.memElem();
 
-    std::string Route;
-    std::string Root = translateToRoot(A.mem(), PerDim, Route, A.loc());
-    Binding *RootB = lookup(Root);
-    BankMultiset Flat = flattenBanks(PerDim, RootB->Ty->memDims());
-    unsigned Need = IsWrite ? copyMultiplicity(A) : readCopyMultiplicity(A);
+    RouteId Route;
+    const Binding &Root = translateToRoot(*B, PerDim, Route);
+    BankMultiset Flat = flattenBanks(PerDim, Root.Ty->memDims());
+    uint64_t Need = IsWrite ? copyMultiplicity(A) : readCopyMultiplicity(A);
     consume(Root, Flat, Route, Need, A.loc());
     if (!IsWrite)
-      ReadCaps.insert(Sig);
+      ReadCaps.push_back(Sig);
     return MemTy.memElem();
   }
 
@@ -796,26 +970,29 @@ private:
       return MemTy.memElem();
     }
     if (*Bank < 0 || *Bank >= MemTy.memTotalBanks()) {
-      std::ostringstream OS;
-      OS << "bank " << *Bank << " out of range for '" << A.mem() << "' with "
-         << MemTy.memTotalBanks() << " bank(s)";
-      diag(ErrorKind::Banking, OS.str(), A.loc());
+      diag(ErrorKind::Banking,
+           cat("bank ", *Bank, " out of range for '", A.mem(), "' with ",
+               MemTy.memTotalBanks(), " bank(s)"),
+           A.loc());
       return MemTy.memElem();
     }
-    std::string Sig = printExpr(A);
-    if (!IsWrite && ReadCaps.count(Sig))
+    Sig.clear();
+    appendExpr(Sig, A);
+    if (!IsWrite && holds(ReadCaps, Sig))
       return MemTy.memElem();
     BankMultiset Flat;
-    Flat[*Bank] = 1;
-    unsigned Need = IsWrite ? copyMultiplicity(A) : whileLaneFanout(A, {});
-    consume(A.mem(), Flat, "direct", Need, A.loc());
+    Flat.add(*Bank, 1);
+    uint64_t Need = IsWrite ? copyMultiplicity(A) : whileLaneFanout(A, {});
+    consume(*B, Flat, DirectRoute, Need, A.loc());
     if (!IsWrite)
-      ReadCaps.insert(Sig);
+      ReadCaps.push_back(Sig);
     return MemTy.memElem();
   }
 
   TypeRef checkApp(AppExpr &A) {
-    auto It = Funcs.find(A.callee());
+    auto It = std::find_if(Funcs.begin(), Funcs.end(), [&](const auto &E) {
+      return E.first == A.callee();
+    });
     if (It == Funcs.end()) {
       diag(ErrorKind::Type, "call to undefined function '" + A.callee() + "'",
            A.loc());
@@ -824,12 +1001,11 @@ private:
       return Type::getFloat();
     }
     const FuncDef &F = *It->second;
-    if (A.args().size() != F.Params.size()) {
-      std::ostringstream OS;
-      OS << "function '" << A.callee() << "' expects " << F.Params.size()
-         << " argument(s) but got " << A.args().size();
-      diag(ErrorKind::Type, OS.str(), A.loc());
-    }
+    if (A.args().size() != F.Params.size())
+      diag(ErrorKind::Type,
+           cat("function '", A.callee(), "' expects ", F.Params.size(),
+               " argument(s) but got ", A.args().size()),
+           A.loc());
     size_t N = std::min(A.args().size(), F.Params.size());
     for (size_t I = 0; I != N; ++I) {
       Expr &Arg = *A.args()[I];
@@ -856,17 +1032,17 @@ private:
         // Passing a memory consumes it whole: the callee may use every bank
         // and port. Every unrolled copy of the call needs the whole memory,
         // so the multiplicity is the full unroll product.
-        unsigned M = 1;
+        uint64_t M = 1;
         for (const auto &[Iter, Factor] : ForStack) {
           (void)Iter;
           if (Factor > 1)
-            M *= static_cast<unsigned>(Factor);
+            M = satMul(M, static_cast<uint64_t>(Factor));
         }
         BankMultiset Flat;
         unsigned Ports = B->Ty->memPorts();
         for (int64_t Bank = 0; Bank != B->Ty->memTotalBanks(); ++Bank)
-          Flat[Bank] = Ports;
-        consume(V->name(), Flat, "direct", M, Arg.loc());
+          Flat.add(Bank, Ports);
+        consume(*B, Flat, DirectRoute, M, Arg.loc());
         continue;
       }
       TypeRef ArgTy = checkExpr(Arg);
@@ -884,6 +1060,8 @@ private:
   //===--------------------------------------------------------------------===//
 
   void checkCmd(Cmd &C) {
+    if (Stopped)
+      return;
     switch (C.kind()) {
     case CmdKind::Let:
       return checkLet(*C.as<LetCmd>());
@@ -966,11 +1144,11 @@ private:
     const Type &UTy = *UB->Ty;
     const std::vector<MemDim> &UDims = UTy.memDims();
     if (V.params().size() != UDims.size()) {
-      std::ostringstream OS;
-      OS << "view '" << V.name() << "' has " << V.params().size()
-         << " [by ...] parameter(s) but '" << V.mem() << "' has "
-         << UDims.size() << " dimension(s)";
-      diag(ErrorKind::View, OS.str(), V.loc());
+      diag(ErrorKind::View,
+           cat("view '", V.name(), "' has ", V.params().size(),
+               " [by ...] parameter(s) but '", V.mem(), "' has ",
+               UDims.size(), " dimension(s)"),
+           V.loc());
       return;
     }
 
@@ -987,10 +1165,10 @@ private:
       switch (V.viewKind()) {
       case ViewKind::Shrink: {
         if (P.Factor < 1 || UD.Banks % P.Factor != 0) {
-          std::ostringstream OS;
-          OS << "shrink factor " << P.Factor
-             << " must evenly divide banking factor " << UD.Banks;
-          diag(ErrorKind::View, OS.str(), V.loc());
+          diag(ErrorKind::View,
+               cat("shrink factor ", P.Factor,
+                   " must evenly divide banking factor ", UD.Banks),
+               V.loc());
           OK = false;
           break;
         }
@@ -1021,11 +1199,11 @@ private:
       case ViewKind::Split: {
         if (P.Factor < 1 || UD.Banks % P.Factor != 0 ||
             UD.Size % P.Factor != 0) {
-          std::ostringstream OS;
-          OS << "split factor " << P.Factor
-             << " must evenly divide banking factor " << UD.Banks
-             << " and size " << UD.Size;
-          diag(ErrorKind::View, OS.str(), V.loc());
+          diag(ErrorKind::View,
+               cat("split factor ", P.Factor,
+                   " must evenly divide banking factor ", UD.Banks,
+                   " and size ", UD.Size),
+               V.loc());
           OK = false;
           break;
         }
@@ -1069,10 +1247,10 @@ private:
     if (std::optional<int64_t> C = tryConstFold(Off)) {
       if (*C % Banks == 0)
         return true;
-      std::ostringstream OS;
-      OS << "suffix offset " << *C << " is not a multiple of banking factor "
-         << Banks << "; use a shift view";
-      diag(ErrorKind::View, OS.str(), Loc);
+      diag(ErrorKind::View,
+           cat("suffix offset ", *C, " is not a multiple of banking factor ",
+               Banks, "; use a shift view"),
+           Loc);
       return false;
     }
     if (const auto *B = Off.as<BinOpExpr>(); B && B->op() == BinOpKind::Mul) {
@@ -1093,27 +1271,31 @@ private:
     TypeRef CondTy = checkExpr(I.cond());
     if (!CondTy->isBool())
       diag(ErrorKind::Type, "if condition must be boolean", I.loc());
-    StepSnapshot PostCond = snapshot();
+    Scratch PostCond(*this);
+    save(PostCond);
     pushScope();
     checkCmd(const_cast<Cmd &>(I.thenCmd()));
     popScope();
-    std::map<std::string, MemState> ThenDelta = Delta;
-    restore(PostCond);
+    Scratch ThenDelta(*this);
+    std::swap(ThenDelta->Delta, Delta);
+    Delta = PostCond->Delta;
+    ReadCaps = PostCond->ReadCaps;
     if (I.elseCmd()) {
       pushScope();
       checkCmd(const_cast<Cmd &>(*I.elseCmd()));
       popScope();
     }
     // Conservatively treat resources consumed by either branch as consumed.
-    mergeDeltaMax(Delta, ThenDelta);
-    ReadCaps = PostCond.ReadCaps;
+    Delta.mergeMax(ThenDelta->Delta);
+    ReadCaps = PostCond->ReadCaps;
   }
 
   void checkWhile(WhileCmd &W) {
     TypeRef CondTy = checkExpr(W.cond());
     if (!CondTy->isBool())
       diag(ErrorKind::Type, "while condition must be boolean", W.loc());
-    StepSnapshot PostCond = snapshot();
+    Scratch PostCond(*this);
+    PostCond->ReadCaps = ReadCaps;
     size_t SavedWhileDepth = WhileForDepth;
     if (WhileForDepth == NotInWhile)
       WhileForDepth = ForStack.size();
@@ -1123,7 +1305,7 @@ private:
     WhileForDepth = SavedWhileDepth;
     // Iterations are sequential; capabilities acquired in the body do not
     // outlive it.
-    ReadCaps = PostCond.ReadCaps;
+    ReadCaps = PostCond->ReadCaps;
   }
 
   void checkFor(ForCmd &F) {
@@ -1137,10 +1319,10 @@ private:
       return;
     }
     if (Trip % F.unroll() != 0) {
-      std::ostringstream OS;
-      OS << "unroll factor " << F.unroll()
-         << " must evenly divide the loop trip count " << Trip;
-      diag(ErrorKind::Unroll, OS.str(), F.loc());
+      diag(ErrorKind::Unroll,
+           cat("unroll factor ", F.unroll(),
+               " must evenly divide the loop trip count ", Trip),
+           F.loc());
       return;
     }
 
@@ -1152,7 +1334,12 @@ private:
     declare(F.iter(), std::move(IterB), F.loc());
     ForStack.emplace_back(F.iter(), F.unroll());
 
-    StepSnapshot Entry = snapshot();
+    // The entry state: its capabilities return after the loop, and a
+    // combine block starts again from its resources.
+    Scratch Entry(*this);
+    Entry->ReadCaps = ReadCaps;
+    if (F.combine())
+      Entry->Delta = Delta;
 
     // The body gets its own scope; remember its top-level lets so the
     // combine block can see them as combine registers.
@@ -1161,24 +1348,30 @@ private:
     if (const auto *Blk = BodyInner->as<BlockCmd>())
       BodyInner = &Blk->body();
     checkCmd(const_cast<Cmd &>(*BodyInner));
-    std::map<std::string, TypeRef> BodyLets;
-    for (const auto &[Name, B] : Scopes.back())
-      if (B.K == Binding::Var)
-        BodyLets[Name] = B.Ty;
+    std::vector<std::pair<std::string_view, TypeRef>> BodyLets;
+    if (F.combine())
+      for (size_t I = Scopes.back().FirstBinding; I != Bindings.size(); ++I)
+        if (Bindings[I].K == Binding::Var)
+          BodyLets.emplace_back(Bindings[I].Name, Bindings[I].Ty);
     popScope();
-    std::map<std::string, MemState> BodyDelta = Delta;
 
+    // Without a combine block the merge below is with the body's own
+    // state, a no-op.
     if (F.combine()) {
+      Scratch BodyDelta(*this);
+      std::swap(BodyDelta->Delta, Delta);
       // The combine block runs in a later logical time step of each
       // iteration group: resources replenish.
-      restore(Entry);
+      Delta = Entry->Delta;
+      ReadCaps = Entry->ReadCaps;
       pushScope();
       for (const auto &[Name, Ty] : BodyLets) {
         Binding B;
         B.K = Binding::CombineReg;
+        B.Name = Name;
         B.Ty = Ty;
         B.ForDepthAtDef = ForStack.size();
-        Scopes.back()[Name] = std::move(B);
+        Bindings.push_back(std::move(B));
       }
       bool SavedCombine = InCombine;
       InCombine = true;
@@ -1188,9 +1381,9 @@ private:
       checkCmd(const_cast<Cmd &>(*CombInner));
       InCombine = SavedCombine;
       popScope();
+      Delta.mergeMax(BodyDelta->Delta);
     }
-    mergeDeltaMax(Delta, BodyDelta);
-    ReadCaps = Entry.ReadCaps;
+    ReadCaps = Entry->ReadCaps;
 
     ForStack.pop_back();
     popScope();
@@ -1301,24 +1494,35 @@ private:
     // afterwards, anything consumed by any step counts as consumed. The
     // first step shares the surrounding time step's read capabilities;
     // `---` discards capabilities for the later steps (Section 3.1).
-    StepSnapshot Entry = snapshot();
-    std::map<std::string, MemState> Merged = Entry.Delta;
+    // Consumption only grows within a step, so the first step's state
+    // already covers the entry state and seeds the merge.
+    Scratch Entry(*this);
+    save(Entry);
+    Scratch Merged(*this);
     bool First = true;
     for (CmdPtr &Step : S.cmds()) {
-      Delta = Entry.Delta;
-      ReadCaps = First ? Entry.ReadCaps : std::set<std::string>();
-      First = false;
+      if (Stopped)
+        break;
+      if (!First) {
+        Delta = Entry->Delta;
+        ReadCaps.clear();
+      }
       checkCmd(*Step);
-      mergeDeltaMax(Merged, Delta);
+      if (First)
+        std::swap(Merged->Delta, Delta);
+      else
+        Merged->Delta.mergeMax(Delta);
+      First = false;
     }
-    Delta = std::move(Merged);
-    ReadCaps = Entry.ReadCaps;
+    if (!First)
+      std::swap(Delta, Merged->Delta);
+    ReadCaps = Entry->ReadCaps;
   }
 
   void checkFunction(FuncDef &F) {
     // Closed world: the function sees only its parameters.
-    auto SavedDelta = std::move(Delta);
-    auto SavedCaps = std::move(ReadCaps);
+    AffineDelta SavedDelta = std::move(Delta);
+    ReadCapSet SavedCaps = std::move(ReadCaps);
     auto SavedFor = std::move(ForStack);
     size_t SavedWhileDepth = WhileForDepth;
     Delta.clear();
@@ -1356,4 +1560,10 @@ std::vector<Error> dahlia::typeCheck(Cmd &C) {
   return Checker().runCommand(C);
 }
 
-bool dahlia::typeChecks(Program &P) { return typeCheck(P).empty(); }
+bool dahlia::typeChecks(Program &P) {
+  return Checker(/*StopAtFirst=*/true).runProgram(P).empty();
+}
+
+bool dahlia::typeChecks(Cmd &C) {
+  return Checker(/*StopAtFirst=*/true).runCommand(C).empty();
+}

@@ -46,8 +46,15 @@ std::vector<Error> typeCheck(Program &P);
 /// Convenience: type-checks a bare command with no pre-declared memories.
 std::vector<Error> typeCheck(Cmd &C);
 
-/// Convenience single-error predicates for design-space exploration.
+/// The verdict alone: whether \p P is well-typed, i.e.
+/// `typeCheck(P).empty()`. The check stops at the first diagnostic, which
+/// is the one `typeCheck` reports first, and builds no other message.
+/// The DSE calls this (through CompilerPipeline::accepts) on every
+/// configuration, and nearly all of them are rejected.
 bool typeChecks(Program &P);
+
+/// The verdict for a bare command, as typeCheck(Cmd &) would give it.
+bool typeChecks(Cmd &C);
 
 } // namespace dahlia
 

@@ -13,6 +13,8 @@
 
 #include "driver/CompilerPipeline.h"
 #include "filament/Interp.h"
+#include "parser/Parser.h"
+#include "sema/TypeChecker.h"
 
 #include <gtest/gtest.h>
 
@@ -21,11 +23,16 @@ namespace fil = dahlia::filament;
 
 namespace {
 
+/// Checks \p Src as a bare command, and asserts that the early-stopping
+/// verdict (typeChecks) agrees with the full check.
 std::vector<Error> check(std::string_view Src) {
   std::vector<Error> Errs = driver::checkBareCommand(Src);
   bool ParseFailed = !Errs.empty() && (Errs.front().kind() == ErrorKind::Parse ||
                                        Errs.front().kind() == ErrorKind::Lex);
   EXPECT_FALSE(ParseFailed) << Errs.front().str();
+  if (Result<CmdPtr> C = parseCommand(Src)) {
+    EXPECT_EQ(typeChecks(**C), Errs.empty()) << Src;
+  }
   return Errs;
 }
 

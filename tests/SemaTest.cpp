@@ -9,8 +9,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompilerPipeline.h"
+#include "kernels/Kernels.h"
+#include "parser/Parser.h"
+#include "sema/TypeChecker.h"
+#include "support/StableHash.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace dahlia;
 
@@ -596,6 +604,119 @@ TEST(SemaAffine, WhileBodyReadsFanOutAcrossUnrolledCopies) {
                       "  let c = 0;"
                       "  while (c < 1) { let v = A[c]; c := c + 1; }"
                       "}"));
+}
+
+TEST(SemaUnroll, UnrollProductsDoNotWrapAround) {
+  // 65536 * 65536 copies of one write: the product is 2^32, which wrapped
+  // to 0 in 32-bit arithmetic and let the program through.
+  std::vector<Error> Errs = checkProgramSrc(
+      "decl A: bit<32>[16];\n"
+      "for (let i = 0..65536) unroll 65536 {\n"
+      "  for (let j = 0..65536) unroll 65536 { A[0] := 1; }\n"
+      "}");
+  ASSERT_EQ(Errs.size(), 1u);
+  EXPECT_EQ(Errs.front().kind(), ErrorKind::Affine);
+  EXPECT_EQ(Errs.front().message(),
+            "memory 'A' bank 0 already consumed in this logical time step "
+            "(access fans out to 4294967296 unrolled copies)");
+
+  // 65536 * 65537 was rejected, but reported as 65536 copies.
+  Errs = checkProgramSrc(
+      "decl A: bit<32>[16];\n"
+      "for (let i = 0..65536) unroll 65536 {\n"
+      "  for (let j = 0..65537) unroll 65537 { A[0] := 1; }\n"
+      "}");
+  ASSERT_EQ(Errs.size(), 1u);
+  EXPECT_EQ(Errs.front().message(),
+            "memory 'A' bank 0 already consumed in this logical time step "
+            "(access fans out to 4295032832 unrolled copies)");
+
+  // A memory argument is consumed whole by every copy of the call.
+  Errs = checkProgramSrc(
+      "def f(m: bit<32>[16]) { m[0] := 1; }\n"
+      "decl A: bit<32>[16];\n"
+      "for (let i = 0..65536) unroll 65536 {\n"
+      "  for (let j = 0..65536) unroll 65536 { f(A); }\n"
+      "}");
+  ASSERT_FALSE(Errs.empty());
+  EXPECT_EQ(Errs.front().kind(), ErrorKind::Affine);
+}
+
+//===----------------------------------------------------------------------===//
+// The DSE spaces: pinned diagnostics and the verdict path
+//===----------------------------------------------------------------------===//
+
+/// Calls \p Fn with the Dahlia source of every configuration of the four
+/// DSE spaces (Figures 7 and 8).
+template <typename Fn> void forEachDseSource(Fn &&F) {
+  using namespace dahlia::kernels;
+  for (const GemmBlockedConfig &C : gemmBlockedSpace())
+    F(gemmBlockedDahlia(C));
+  for (const Stencil2dConfig &C : stencil2dSpace())
+    F(stencil2dDahlia(C));
+  for (const MdKnnConfig &C : mdKnnSpace())
+    F(mdKnnDahlia(C));
+  for (const MdGridConfig &C : mdGridSpace())
+    F(mdGridDahlia(C));
+}
+
+TEST(SemaTest, DseSpaceDiagnosticsArePinnedBitForBit) {
+  // The verdict and every diagnostic (kind, message, line, col) of every
+  // configuration of the four DSE spaces, folded into one digest. The
+  // literal was generated by the previous, map-based checker, so any
+  // drift in what a full typeCheck reports fails here.
+  uint64_t H = 0xcbf29ce484222325ULL;
+  size_t Sources = 0;
+  forEachDseSource([&](const std::string &Src) {
+    driver::CompileResult R = driver::CompilerPipeline().check(Src);
+    H = stableHashCombine(H, R.ok());
+    for (const Error &E : R.Diags.errors()) {
+      H = stableHashCombine(H, static_cast<uint64_t>(E.kind()));
+      H = stableHashCombine(H, stableHash(E.message()));
+      H = stableHashCombine(H, E.loc().Line);
+      H = stableHashCombine(H, E.loc().Col);
+    }
+    ++Sources;
+  });
+  EXPECT_EQ(Sources, 73252u);
+  EXPECT_EQ(H, 0xbd2a83e8272daaecULL);
+}
+
+/// Whether the early-stopping verdict agrees with a full check of \p Src.
+::testing::AssertionResult verdictMatchesFullCheck(const std::string &Src) {
+  Result<Program> P1 = parseProgram(Src);
+  Result<Program> P2 = parseProgram(Src);
+  if (!P1 || !P2)
+    return ::testing::AssertionFailure() << "parse failed: " << Src;
+  bool Verdict = typeChecks(*P1);
+  bool Full = typeCheck(*P2).empty();
+  if (Verdict == Full)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "typeChecks says " << Verdict << ", typeCheck says " << Full
+         << "\nsource: " << Src;
+}
+
+TEST(SemaTest, VerdictEqualsFullCheckOnDseSpaces) {
+  forEachDseSource([](const std::string &Src) {
+    ASSERT_TRUE(verdictMatchesFullCheck(Src));
+  });
+}
+
+TEST(SemaTest, VerdictEqualsFullCheckOnFuzzCorpus) {
+  std::filesystem::path Dir = DAHLIA_FUZZ_CORPUS_DIR;
+  ASSERT_TRUE(std::filesystem::is_directory(Dir)) << Dir;
+  int Checked = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    if (E.path().extension() != ".fuse")
+      continue;
+    std::ifstream In(E.path());
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    EXPECT_TRUE(verdictMatchesFullCheck(SS.str())) << E.path();
+    ++Checked;
+  }
+  EXPECT_GE(Checked, 6) << "corpus went missing";
 }
 
 } // namespace
