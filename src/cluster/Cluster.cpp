@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <istream>
 #include <map>
+#include <memory>
 #include <thread>
 
 using namespace dahlia;
@@ -113,6 +114,42 @@ uint64_t fingerprintOf(const std::vector<dse::FrontPoint> &Points) {
       });
 }
 
+/// Key-residue slices per cache-export, so each response line stays well
+/// under the server's line cap for giant caches.
+constexpr unsigned kCacheSlices = 4;
+/// Entries of each kind per cache-import request when re-shipping the
+/// union.
+constexpr size_t kCacheImportChunk = 4096;
+
+/// One strict-mode client connection to a worker.
+struct WorkerConn {
+  int Fd;
+  FdStreamBuf Buf;
+  std::iostream Ios;
+  service::ServiceClient C;
+
+  explicit WorkerConn(int Fd) : Fd(Fd), Buf(Fd), Ios(&Buf), C(Ios, Ios) {
+    C.setStrict(true);
+  }
+  ~WorkerConn() { closeFd(Fd); }
+  WorkerConn(const WorkerConn &) = delete;
+  WorkerConn &operator=(const WorkerConn &) = delete;
+
+  /// Connects to \p Port; null when the connect fails. A stalled worker
+  /// must look exactly like a dead one: with \p TimeoutMs > 0,
+  /// SO_RCVTIMEO turns the stall into a read failure, FdStreamBuf
+  /// reports EOF, and ServiceClient synthesizes its structured
+  /// mid-stream error.
+  static std::unique_ptr<WorkerConn> dial(int Port, int TimeoutMs) {
+    int Fd = connectLoopback(Port);
+    if (Fd < 0)
+      return nullptr;
+    if (TimeoutMs > 0)
+      setRecvTimeout(Fd, TimeoutMs);
+    return std::make_unique<WorkerConn>(Fd);
+  }
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -173,22 +210,13 @@ bool ClusterCoordinator::attemptShard(size_t W, unsigned Shard,
                                       Json *Sweep) {
   TRACE_SPAN("cluster.shard_attempt");
   const WorkerSpec &Spec = Opts.Workers[W];
-  int Fd = connectLoopback(Spec.Port);
-  if (Fd < 0) {
+  std::unique_ptr<WorkerConn> Conn =
+      WorkerConn::dial(Spec.Port, Opts.ShardTimeoutMs);
+  if (!Conn) {
     *Err = "connect to " + Spec.Host + ":" + std::to_string(Spec.Port) +
            " failed";
     return false;
   }
-  // A stalled worker must look exactly like a dead one: SO_RCVTIMEO turns
-  // the stall into a read failure, FdStreamBuf reports EOF, and
-  // ServiceClient synthesizes its structured mid-stream error.
-  if (Opts.ShardTimeoutMs > 0)
-    setRecvTimeout(Fd, Opts.ShardTimeoutMs);
-  FdStreamBuf Buf(Fd);
-  std::iostream Ios(&Buf);
-
-  service::ServiceClient C(Ios, Ios);
-  C.setStrict(Opts.Strict);
   service::Request R;
   R.Kind = service::Op::DseSweep;
   R.Space = Opts.Space;
@@ -200,8 +228,8 @@ bool ClusterCoordinator::attemptShard(size_t W, unsigned Shard,
   // Streamed: a worker crash mid-sweep exercises the structured
   // mid-stream-EOF path instead of losing the whole reply shape.
   R.Stream = true;
-  service::ClientResponse Resp = C.call(std::move(R));
-  closeFd(Fd);
+  service::ClientResponse Resp = Conn->C.call(std::move(R));
+  Conn.reset();
 
   if (!Resp.R.Ok) {
     *Err = joinErrors(Resp.R.Errors);
@@ -608,18 +636,14 @@ Json ClusterCoordinator::probeWorkers() const {
     P["worker"] = I;
     P["host"] = Targets[I].Host;
     P["port"] = Targets[I].Port;
-    int Fd = connectLoopback(Targets[I].Port);
-    if (Fd < 0) {
+    std::unique_ptr<WorkerConn> Conn =
+        WorkerConn::dial(Targets[I].Port, /*TimeoutMs=*/2000);
+    if (!Conn) {
       P["error"] = "connect failed";
       Probes.push_back(std::move(P));
       continue;
     }
-    setRecvTimeout(Fd, 2000);
-    FdStreamBuf Buf(Fd);
-    std::iostream Ios(&Buf);
-    service::ServiceClient C(Ios, Ios);
-    service::ClientResponse R = C.watch();
-    closeFd(Fd);
+    service::ClientResponse R = Conn->C.watch();
     if (R.R.Ok)
       P["watch"] = R.R.Watch;
     else
@@ -645,95 +669,63 @@ bool ClusterCoordinator::syncCaches(std::string *Err, size_t *Shipped) {
     return false;
   }
 
-  // Pull every live worker's cache, slice by slice, into one union.
-  std::map<uint64_t, bool> Verdicts;
-  std::map<uint64_t, hlsim::Estimate> Estimates;
-  unsigned Slices = std::max(1u, Opts.CacheSlices);
+  // One connection per live worker for the whole sync.
+  std::vector<std::unique_ptr<WorkerConn>> Conns;
   for (const auto &[Idx, Spec] : Targets) {
-    int Fd = connectLoopback(Spec.Port);
-    if (Fd < 0) {
+    Conns.push_back(WorkerConn::dial(Spec.Port, Opts.ShardTimeoutMs));
+    if (!Conns.back()) {
       if (Err)
         *Err = "worker " + std::to_string(Idx) + ": connect failed";
       return false;
     }
-    if (Opts.ShardTimeoutMs > 0)
-      setRecvTimeout(Fd, Opts.ShardTimeoutMs);
-    FdStreamBuf Buf(Fd);
-    std::iostream Ios(&Buf);
-    service::ServiceClient C(Ios, Ios);
-    C.setStrict(Opts.Strict);
-    bool Failed = false;
-    for (unsigned S = 0; S != Slices && !Failed; ++S) {
-      service::ClientResponse R = C.cacheExport(
-          std::to_string(S) + "/" + std::to_string(Slices));
-      if (!R.R.Ok) {
-        if (Err)
-          *Err = "worker " + std::to_string(Idx) +
-                 ": cache-export failed: " + joinErrors(R.R.Errors);
-        Failed = true;
-        break;
-      }
-      std::vector<std::pair<uint64_t, bool>> V;
-      std::vector<std::pair<uint64_t, hlsim::Estimate>> E;
-      std::string ParseErr;
-      if (!service::cacheFromJson(R.R.Cache, V, E, &ParseErr)) {
-        if (Err)
-          *Err = "worker " + std::to_string(Idx) +
-                 ": malformed cache-export payload: " + ParseErr;
-        Failed = true;
-        break;
-      }
-      for (auto &KV : V)
-        Verdicts.insert(KV);
-      for (auto &KE : E)
-        Estimates.insert(std::move(KE));
-    }
-    closeFd(Fd);
-    if (Failed)
-      return false;
   }
 
-  // Ship the union back to every live worker in bounded chunks (imports
-  // merge, so chunking is safe).
-  std::vector<std::pair<uint64_t, bool>> AllV(Verdicts.begin(),
-                                              Verdicts.end());
-  std::vector<std::pair<uint64_t, hlsim::Estimate>> AllE(Estimates.begin(),
-                                                         Estimates.end());
-  size_t Chunk = std::max<size_t>(1, Opts.CacheImportChunk);
-  for (const auto &[Idx, Spec] : Targets) {
-    int Fd = connectLoopback(Spec.Port);
-    if (Fd < 0) {
-      if (Err)
-        *Err = "worker " + std::to_string(Idx) + ": connect failed";
-      return false;
+  // Pull every live worker's cache, slice by slice, into one union.
+  service::ShardImage Union;
+  for (size_t W = 0; W != Targets.size(); ++W)
+    for (unsigned S = 0; S != kCacheSlices; ++S) {
+      service::ClientResponse R = Conns[W]->C.cacheExport(
+          std::to_string(S) + "/" + std::to_string(kCacheSlices));
+      std::string Why;
+      std::optional<service::ShardImage> Slice;
+      if (R.R.Ok)
+        Slice = service::cacheImageFromWire(R.R.Cache, &Why);
+      if (!Slice) {
+        if (Err)
+          *Err = "worker " + std::to_string(Targets[W].first) +
+                 (R.R.Ok ? ": malformed cache-export payload: " + Why
+                         : ": cache-export failed: " +
+                               joinErrors(R.R.Errors));
+        return false;
+      }
+      Union = service::mergeImages(Union, *Slice);
     }
-    if (Opts.ShardTimeoutMs > 0)
-      setRecvTimeout(Fd, Opts.ShardTimeoutMs);
-    FdStreamBuf Buf(Fd);
-    std::iostream Ios(&Buf);
-    service::ServiceClient C(Ios, Ios);
-    C.setStrict(Opts.Strict);
-    for (size_t VOff = 0, EOff = 0;
-         VOff < AllV.size() || EOff < AllE.size();) {
-      size_t VEnd = std::min(AllV.size(), VOff + Chunk);
-      size_t EEnd = std::min(AllE.size(), EOff + Chunk);
-      std::vector<std::pair<uint64_t, bool>> V(AllV.begin() + VOff,
-                                               AllV.begin() + VEnd);
-      std::vector<std::pair<uint64_t, hlsim::Estimate>> E(
-          AllE.begin() + EOff, AllE.begin() + EEnd);
-      VOff = VEnd;
-      EOff = EEnd;
-      service::ClientResponse R =
-          C.cacheImport(service::cacheToJson(V, E));
+
+  // Ship the union back to every live worker in bounded chunks (imports
+  // merge, so chunking is safe). Each chunk is encoded once.
+  const auto &AllV = Union.Verdicts;
+  const auto &AllE = Union.Estimates;
+  for (size_t Off = 0; Off < std::max(AllV.size(), AllE.size());
+       Off += kCacheImportChunk) {
+    service::ShardImage Chunk;
+    auto Slice = [&](const auto &All, auto &Into) {
+      if (Off < All.size())
+        Into.assign(All.begin() + Off,
+                    All.begin() +
+                        std::min(All.size(), Off + kCacheImportChunk));
+    };
+    Slice(AllV, Chunk.Verdicts);
+    Slice(AllE, Chunk.Estimates);
+    Json Payload = service::cacheImageToWire(Chunk);
+    for (size_t W = 0; W != Targets.size(); ++W) {
+      service::ClientResponse R = Conns[W]->C.cacheImport(Payload);
       if (!R.R.Ok) {
         if (Err)
-          *Err = "worker " + std::to_string(Idx) +
+          *Err = "worker " + std::to_string(Targets[W].first) +
                  ": cache-import failed: " + joinErrors(R.R.Errors);
-        closeFd(Fd);
         return false;
       }
     }
-    closeFd(Fd);
   }
 
   size_t Total = AllV.size() + AllE.size();

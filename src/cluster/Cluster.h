@@ -95,17 +95,9 @@ struct ClusterOptions {
   /// backup runner per shard). Duplicate completions resolve first-wins
   /// with a fingerprint cross-check.
   bool Speculate = true;
-  /// Strict client decoding (ServiceClient::setStrict): hostile chunk
-  /// streams become structured errors, never silent front corruption.
-  bool Strict = true;
   /// Ship the union of all workers' memo caches back to every worker
   /// after the sweep (see syncCaches).
   bool SyncCacheAfter = false;
-  /// Key-residue slices per cache-export (keeps each response line under
-  /// the server's line cap for giant caches).
-  unsigned CacheSlices = 4;
-  /// Entries per cache-import request when re-shipping the union.
-  size_t CacheImportChunk = 4096;
 };
 
 /// Aggregate counters of one cluster run.
@@ -159,7 +151,8 @@ public:
   Json probeWorkers() const;
 
   /// Ships the union of every live worker's memo cache to every live
-  /// worker (cache-export slices -> merged -> chunked cache-import), so
+  /// worker (cache-export slices -> merged cache image -> chunked
+  /// cache-import, each chunk encoded once for the whole fleet), so
   /// the fleet converges to all-hit regardless of how shards land next
   /// run. Returns false and sets \p Err when any worker fails to
   /// export/import. \p Shipped (optional) counts entries shipped.

@@ -640,16 +640,15 @@ Response CompileService::cacheExportOp(const Request &R) {
     return Slice.isWhole() || Key % Slice.Count == Slice.Index;
   };
 
-  std::vector<std::pair<uint64_t, bool>> Verdicts;
-  for (auto &Entry : Cache->snapshotVerdicts())
+  ShardImage Img;
+  for (const auto &Entry : Cache->snapshotVerdicts())
     if (InSlice(Entry.first))
-      Verdicts.push_back(std::move(Entry));
-  std::vector<std::pair<uint64_t, hlsim::Estimate>> Estimates;
-  for (auto &Entry : Cache->snapshotEstimates())
+      Img.Verdicts.push_back(Entry);
+  for (const auto &Entry : Cache->snapshotEstimates())
     if (InSlice(Entry.first))
-      Estimates.push_back(std::move(Entry));
+      Img.Estimates.push_back(Entry);
 
-  Out.Cache = cacheToJson(Verdicts, Estimates);
+  Out.Cache = cacheImageToWire(Img);
   Out.Ok = true;
   static metrics::Counter &Exports = metrics::counter("service.cache_exports");
   Exports.inc();
@@ -665,22 +664,21 @@ Response CompileService::cacheImportOp(const Request &R) {
     return Out;
   }
 
-  std::vector<std::pair<uint64_t, bool>> Verdicts;
-  std::vector<std::pair<uint64_t, hlsim::Estimate>> Estimates;
   std::string Err;
-  if (!cacheFromJson(R.CachePayload, Verdicts, Estimates, &Err)) {
+  std::optional<ShardImage> Img = cacheImageFromWire(R.CachePayload, &Err);
+  if (!Img) {
     Out.Errors.push_back(
         Error(ErrorKind::Internal, "cache-import: " + Err));
     return Out;
   }
-  for (const auto &[Key, Accepted] : Verdicts)
+  for (const auto &[Key, Accepted] : Img->Verdicts)
     Cache->insertVerdict(Key, Accepted);
-  for (const auto &[Key, Est] : Estimates)
+  for (const auto &[Key, Est] : Img->Estimates)
     Cache->insertEstimate(Key, Est);
 
   Json Summary = Json::object();
-  Summary["imported_verdicts"] = Verdicts.size();
-  Summary["imported_estimates"] = Estimates.size();
+  Summary["imported_verdicts"] = Img->Verdicts.size();
+  Summary["imported_estimates"] = Img->Estimates.size();
   Summary["verdicts"] = Cache->verdictCount();
   Summary["estimates"] = Cache->estimateCount();
   Out.Cache = std::move(Summary);

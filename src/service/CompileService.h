@@ -165,8 +165,8 @@ private:
   Response checkOrEstimate(const Request &R);
   Response dseSweep(const Request &R);
   /// The cache-shipping ops (fleet warm-up; see docs/cluster.md): export
-  /// snapshots the memo cache (optionally one "i/N" key-residue slice),
-  /// import bulk-merges a payload in the same wire shape.
+  /// snapshots the memo cache (optionally one "i/N" key-residue slice)
+  /// as a cache image in wire form, import bulk-merges such an image.
   Response cacheExportOp(const Request &R);
   Response cacheImportOp(const Request &R);
 

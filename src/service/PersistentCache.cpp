@@ -17,7 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <iterator>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -134,70 +134,15 @@ hlsim::Estimate getEstimate(Reader &R) {
   return E;
 }
 
-/// One shard's decoded payload.
-struct ShardImage {
-  std::vector<std::pair<uint64_t, bool>> Verdicts;
-  std::vector<std::pair<uint64_t, hlsim::Estimate>> Estimates;
-};
-
-/// Parses one shard file. Returns false (empty \p Out) on a missing file,
-/// wrong magic, wrong version, bad checksum, or truncated payload.
-bool readShardFile(const std::string &Path, uint32_t WantVersion,
-                   ShardImage &Out) {
+/// Reads one shard file; std::nullopt when it is missing or undecodable.
+std::optional<ShardImage> readShardFile(const std::string &Path,
+                                        uint32_t WantVersion) {
   std::ifstream In(Path, std::ios::binary);
   if (!In)
-    return false;
+    return std::nullopt;
   std::string Bytes((std::istreambuf_iterator<char>(In)),
                     std::istreambuf_iterator<char>());
-  // Header: magic + version + payload + trailing checksum over everything
-  // before it. Anything that doesn't fit is treated as absent.
-  if (Bytes.size() < 4 + 4 + 8 + 8 + 8)
-    return false;
-  if (std::memcmp(Bytes.data(), kMagic, 4) != 0)
-    return false;
-
-  size_t BodyLen = Bytes.size() - 8;
-  Reader R{reinterpret_cast<const unsigned char *>(Bytes.data()),
-           Bytes.size()};
-  R.Pos = 4;
-  uint32_t Version = R.u32();
-  if (Version != WantVersion)
-    return false;
-
-  // Verify the checksum before trusting any count field.
-  Reader Tail{reinterpret_cast<const unsigned char *>(Bytes.data()),
-              Bytes.size()};
-  Tail.Pos = BodyLen;
-  uint64_t Expected = Tail.u64();
-  uint64_t Actual = stableHash(std::string_view(Bytes.data(), BodyLen));
-  if (Expected != Actual)
-    return false;
-
-  uint64_t NumVerdicts = R.u64();
-  if (R.Bad || NumVerdicts > (BodyLen - R.Pos) / kVerdictRecordBytes)
-    return false;
-  Out.Verdicts.reserve(NumVerdicts);
-  for (uint64_t I = 0; I != NumVerdicts; ++I) {
-    uint64_t Key = R.u64();
-    bool Accepted = R.u8() != 0;
-    Out.Verdicts.emplace_back(Key, Accepted);
-  }
-
-  uint64_t NumEstimates = R.u64();
-  if (R.Bad || NumEstimates > (BodyLen - R.Pos) / kEstimateRecordBytes) {
-    Out = ShardImage(); // Verdicts were already parsed; discard them too.
-    return false;
-  }
-  Out.Estimates.reserve(NumEstimates);
-  for (uint64_t I = 0; I != NumEstimates; ++I) {
-    uint64_t Key = R.u64();
-    Out.Estimates.emplace_back(Key, getEstimate(R));
-  }
-  if (R.Bad || R.Pos != BodyLen) {
-    Out = ShardImage();
-    return false;
-  }
-  return true;
+  return ShardImage::decode(Bytes, WantVersion);
 }
 
 /// Advisory cross-process lock on one shard directory, held for the
@@ -238,27 +183,10 @@ private:
   int Fd = -1;
 };
 
-/// Serializes and atomically installs one shard file. Entries must be
-/// key-sorted (the format's canonical order).
+/// Atomically installs one shard file (write temp, then rename).
 bool writeShardFile(const std::string &Path, uint32_t Version,
                     const ShardImage &Img) {
-  std::string Out;
-  Out.reserve(16 + Img.Verdicts.size() * kVerdictRecordBytes +
-              Img.Estimates.size() * kEstimateRecordBytes + 8);
-  Out.append(kMagic, 4);
-  putU32(Out, Version);
-  putU64(Out, Img.Verdicts.size());
-  for (const auto &[Key, Accepted] : Img.Verdicts) {
-    putU64(Out, Key);
-    Out.push_back(Accepted ? 1 : 0);
-  }
-  putU64(Out, Img.Estimates.size());
-  for (const auto &[Key, Est] : Img.Estimates) {
-    putU64(Out, Key);
-    putEstimate(Out, Est);
-  }
-  putU64(Out, stableHash(Out));
-
+  std::string Out = Img.encode(Version);
   std::string Tmp = Path + ".tmp";
   {
     std::ofstream OutFile(Tmp, std::ios::binary | std::ios::trunc);
@@ -283,7 +211,119 @@ std::string shardDirName(unsigned Index) {
   return Buf;
 }
 
+/// Merges two key-sorted, key-unique vectors; \p Over wins collisions.
+template <typename T>
+std::vector<std::pair<uint64_t, T>>
+mergeByKey(const std::vector<std::pair<uint64_t, T>> &Base,
+           const std::vector<std::pair<uint64_t, T>> &Over) {
+  std::vector<std::pair<uint64_t, T>> Out;
+  Out.reserve(Base.size() + Over.size());
+  // set_union takes a key present in both ranges from the first range.
+  std::set_union(Over.begin(), Over.end(), Base.begin(), Base.end(),
+                 std::back_inserter(Out), [](const auto &A, const auto &B) {
+                   return A.first < B.first;
+                 });
+  return Out;
+}
+
+template <typename T>
+bool keysAscending(const std::vector<std::pair<uint64_t, T>> &V) {
+  return std::adjacent_find(V.begin(), V.end(), [](const auto &A,
+                                                   const auto &B) {
+           return A.first >= B.first;
+         }) == V.end();
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// ShardImage codec
+//===----------------------------------------------------------------------===//
+
+std::string ShardImage::encode(uint32_t Version) const {
+  std::string Out;
+  Out.reserve(16 + Verdicts.size() * kVerdictRecordBytes + 8 +
+              Estimates.size() * kEstimateRecordBytes + 8);
+  Out.append(kMagic, 4);
+  putU32(Out, Version);
+  putU64(Out, Verdicts.size());
+  for (const auto &[Key, Accepted] : Verdicts) {
+    putU64(Out, Key);
+    Out.push_back(Accepted ? 1 : 0);
+  }
+  putU64(Out, Estimates.size());
+  for (const auto &[Key, Est] : Estimates) {
+    putU64(Out, Key);
+    putEstimate(Out, Est);
+  }
+  putU64(Out, stableHash(Out));
+  return Out;
+}
+
+std::optional<ShardImage> ShardImage::decode(std::string_view Bytes,
+                                             uint32_t WantVersion,
+                                             std::string *Err) {
+  auto Fail = [&](std::string Why) -> std::optional<ShardImage> {
+    if (Err)
+      *Err = std::move(Why);
+    return std::nullopt;
+  };
+  // Header: magic + version + two counts + trailing checksum over
+  // everything before it.
+  if (Bytes.size() < 4 + 4 + 8 + 8 + 8)
+    return Fail("cache image of " + std::to_string(Bytes.size()) +
+                " bytes is shorter than its header");
+  if (std::memcmp(Bytes.data(), kMagic, 4) != 0)
+    return Fail("cache image has bad magic");
+
+  // The body reader stops at the checksum, so a count field can never
+  // read into it.
+  size_t BodyLen = Bytes.size() - 8;
+  const auto *Data = reinterpret_cast<const unsigned char *>(Bytes.data());
+  Reader R{Data, BodyLen};
+  R.Pos = 4;
+  uint32_t Version = R.u32();
+  if (Version != WantVersion)
+    return Fail("cache image format version " + std::to_string(Version) +
+                ", expected " + std::to_string(WantVersion));
+
+  // Verify the checksum before trusting any count field.
+  Reader Tail{Data, Bytes.size()};
+  Tail.Pos = BodyLen;
+  if (Tail.u64() != stableHash(Bytes.substr(0, BodyLen)))
+    return Fail("cache image checksum mismatch");
+
+  ShardImage Img;
+  uint64_t NumVerdicts = R.u64();
+  if (R.Bad || NumVerdicts > (BodyLen - R.Pos) / kVerdictRecordBytes)
+    return Fail("cache image verdict count exceeds its payload");
+  Img.Verdicts.reserve(NumVerdicts);
+  for (uint64_t I = 0; I != NumVerdicts; ++I) {
+    uint64_t Key = R.u64();
+    bool Accepted = R.u8() != 0;
+    Img.Verdicts.emplace_back(Key, Accepted);
+  }
+
+  uint64_t NumEstimates = R.u64();
+  if (R.Bad || NumEstimates > (BodyLen - R.Pos) / kEstimateRecordBytes)
+    return Fail("cache image estimate count exceeds its payload");
+  Img.Estimates.reserve(NumEstimates);
+  for (uint64_t I = 0; I != NumEstimates; ++I) {
+    uint64_t Key = R.u64();
+    Img.Estimates.emplace_back(Key, getEstimate(R));
+  }
+  if (R.Bad || R.Pos != BodyLen)
+    return Fail("cache image length does not match its counts");
+  if (!keysAscending(Img.Verdicts) || !keysAscending(Img.Estimates))
+    return Fail("cache image keys are not in ascending order");
+  return Img;
+}
+
+ShardImage dahlia::service::mergeImages(const ShardImage &Base,
+                                        const ShardImage &Over) {
+  return ShardImage{mergeByKey(Base.Verdicts, Over.Verdicts),
+                    mergeByKey(Base.Estimates, Over.Estimates)};
+}
 
 PersistentCache::PersistentCache(std::string D, PersistentCacheOptions O)
     : Dir(std::move(D)), Opts(O) {
@@ -321,15 +361,15 @@ bool PersistentCache::load(dse::DseCache &Into,
 
   PersistentCacheLoadStats Local;
   for (const std::string &Path : Paths) {
-    ShardImage Img;
-    if (!readShardFile(Path, Opts.Version, Img))
+    std::optional<ShardImage> Img = readShardFile(Path, Opts.Version);
+    if (!Img)
       continue; // Corrupt/mismatched shard: the others still serve.
     ++Local.ShardsLoaded;
-    Local.Verdicts += Img.Verdicts.size();
-    Local.Estimates += Img.Estimates.size();
-    for (const auto &[Key, Accepted] : Img.Verdicts)
+    Local.Verdicts += Img->Verdicts.size();
+    Local.Estimates += Img->Estimates.size();
+    for (const auto &[Key, Accepted] : Img->Verdicts)
       Into.insertVerdict(Key, Accepted);
-    for (const auto &[Key, Est] : Img.Estimates)
+    for (const auto &[Key, Est] : Img->Estimates)
       Into.insertEstimate(Key, Est);
   }
   if (Stats)
@@ -344,10 +384,6 @@ bool PersistentCache::load(dse::DseCache &Into,
 
 bool PersistentCache::save(const dse::DseCache &From) const {
   TRACE_SPAN("cache.save");
-  std::vector<std::pair<uint64_t, bool>> Verdicts = From.snapshotVerdicts();
-  std::vector<std::pair<uint64_t, hlsim::Estimate>> Estimates =
-      From.snapshotEstimates();
-
   std::error_code EC;
   fs::create_directories(Dir, EC); // Existing directory is not an error.
 
@@ -356,18 +392,24 @@ bool PersistentCache::save(const dse::DseCache &From) const {
   fs::remove(fs::path(Dir) / "memo.bin", EC);
   fs::remove(fs::path(Dir) / "memo.bin.tmp", EC);
 
-  // Partition the snapshot by shard. Snapshots are key-sorted and the
-  // partition is order-preserving, so each shard's vectors stay sorted.
-  std::vector<ShardImage> Fresh(Opts.Shards);
-  for (const auto &[Key, Accepted] : Verdicts)
-    Fresh[shardOf(Key)].Verdicts.emplace_back(Key, Accepted);
-  for (const auto &[Key, Est] : Estimates)
-    Fresh[shardOf(Key)].Estimates.emplace_back(Key, Est);
+  // Splits an image by shard. The split is order-preserving, so each
+  // part stays key-sorted.
+  auto Partition = [&](const ShardImage &Img) {
+    std::vector<ShardImage> Parts(Opts.Shards);
+    for (const auto &KV : Img.Verdicts)
+      Parts[shardOf(KV.first)].Verdicts.push_back(KV);
+    for (const auto &KE : Img.Estimates)
+      Parts[shardOf(KE.first)].Estimates.push_back(KE);
+    return Parts;
+  };
+  std::vector<ShardImage> Fresh = Partition(
+      ShardImage{From.snapshotVerdicts(), From.snapshotEstimates()});
 
   // Stale stripes left by a run with a larger shard count hold live
   // entries; fold them into this save's union (under the current
-  // partition) before they are removed below — deleting without merging
-  // would erase another writer's published work.
+  // partition, and under the snapshot, which wins collisions) before they
+  // are removed below — deleting without merging would erase another
+  // writer's published work.
   std::vector<fs::path> StaleDirs;
   for (fs::directory_iterator It(Dir, EC), End; !EC && It != End;
        It.increment(EC)) {
@@ -381,24 +423,11 @@ bool PersistentCache::save(const dse::DseCache &From) const {
     if (Index < Opts.Shards)
       continue;
     StaleDirs.push_back(It->path());
-    ShardImage Stale;
-    if (readShardFile((It->path() / "memo.bin").string(), Opts.Version,
-                      Stale)) {
-      // Disk entries are the union *base*: append before the in-memory
-      // snapshot so the snapshot wins collisions in the merge maps.
-      for (unsigned S = 0; S != Opts.Shards; ++S) {
-        ShardImage &F = Fresh[S];
-        std::vector<std::pair<uint64_t, bool>> Vs;
-        std::vector<std::pair<uint64_t, hlsim::Estimate>> Es;
-        for (const auto &KV : Stale.Verdicts)
-          if (shardOf(KV.first) == S)
-            Vs.push_back(KV);
-        for (const auto &KE : Stale.Estimates)
-          if (shardOf(KE.first) == S)
-            Es.push_back(KE);
-        F.Verdicts.insert(F.Verdicts.begin(), Vs.begin(), Vs.end());
-        F.Estimates.insert(F.Estimates.begin(), Es.begin(), Es.end());
-      }
+    if (std::optional<ShardImage> Stale = readShardFile(
+            (It->path() / "memo.bin").string(), Opts.Version)) {
+      std::vector<ShardImage> Parts = Partition(*Stale);
+      for (unsigned S = 0; S != Opts.Shards; ++S)
+        Fresh[S] = mergeImages(Parts[S], Fresh[S]);
     }
   }
 
@@ -421,26 +450,15 @@ bool PersistentCache::save(const dse::DseCache &From) const {
 
     // Union-on-save: fold the shard's current on-disk entries under the
     // fresh snapshot (the snapshot wins on collisions) so concurrent
-    // writers extend rather than clobber each other.
-    ShardImage OnDisk;
-    readShardFile(Path, Opts.Version, OnDisk); // Invalid loads as empty.
-
-    std::map<uint64_t, bool> V(OnDisk.Verdicts.begin(),
-                               OnDisk.Verdicts.end());
-    for (const auto &[Key, Accepted] : Fresh[S].Verdicts)
-      V[Key] = Accepted;
-    std::map<uint64_t, hlsim::Estimate> E(OnDisk.Estimates.begin(),
-                                          OnDisk.Estimates.end());
-    for (const auto &[Key, Est] : Fresh[S].Estimates)
-      E[Key] = Est;
+    // writers extend rather than clobber each other. An invalid shard
+    // file loads as empty.
+    ShardImage Merged = mergeImages(
+        readShardFile(Path, Opts.Version).value_or(ShardImage()), Fresh[S]);
 
     // Eviction cap: verdicts (one byte of payload each, and each one
     // stands for a full type-check) win over estimates; within a class
-    // the highest-keyed entries go first. Maps iterate key-sorted, so
+    // the highest-keyed entries go first. The union is key-sorted, so
     // truncation is deterministic.
-    ShardImage Merged;
-    Merged.Verdicts.assign(V.begin(), V.end());
-    Merged.Estimates.assign(E.begin(), E.end());
     if (Merged.Verdicts.size() > ShardBudget)
       Merged.Verdicts.resize(ShardBudget);
     size_t EstBudget = ShardBudget - Merged.Verdicts.size();

@@ -36,9 +36,10 @@
 ///     snapshot wins on key collisions), so concurrent processes extend
 ///     rather than erase each other's work;
 ///   * a missing shard, a version mismatch, or a truncated/corrupt shard
-///     file (bad magic, bad checksum, counts exceeding the payload) loads
-///     as empty — a memo cache is correct under any subset, so the other
-///     shards still serve and the next save rebuilds the bad one;
+///     file (anything ShardImage::decode rejects: bad magic, bad checksum,
+///     counts exceeding the payload, keys out of order) loads as empty —
+///     a memo cache is correct under any subset, so the other shards
+///     still serve and the next save rebuilds the bad one;
 ///   * pre-v4 caches (a single `memo.bin` at the directory root) are
 ///     ignored on load and removed on save — old caches rebuild cleanly
 ///     (see docs/caching.md for the layout and the intentional
@@ -64,7 +65,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dahlia::service {
@@ -96,6 +99,32 @@ struct PersistentCacheOptions {
 /// lock-striped, union-on-save); the single root memo.bin of v3 is no
 /// longer read.
 inline constexpr uint32_t kPersistentCacheFormatVersion = 4;
+
+/// The entries of one shard file, each vector sorted by key with unique
+/// keys (the format's canonical order). This is also the unit the
+/// `cache-export`/`cache-import` protocol ops ship, so one encoder and one
+/// decoder serve disk and wire.
+struct ShardImage {
+  std::vector<std::pair<uint64_t, bool>> Verdicts;
+  std::vector<std::pair<uint64_t, hlsim::Estimate>> Estimates;
+
+  /// The shard-file bytes: magic | version | verdicts | estimates |
+  /// checksum (see docs/caching.md).
+  std::string encode(uint32_t Version = kPersistentCacheFormatVersion) const;
+
+  /// Inverse of encode. Rejects (std::nullopt, reason in \p Err) bad
+  /// magic, a version other than \p WantVersion, a checksum mismatch
+  /// (checked before any count is read), counts exceeding the payload,
+  /// keys out of order, and trailing bytes.
+  static std::optional<ShardImage>
+  decode(std::string_view Bytes,
+         uint32_t WantVersion = kPersistentCacheFormatVersion,
+         std::string *Err = nullptr);
+};
+
+/// Key-sorted union of two images in canonical order; on a key collision
+/// the entry of \p Over wins.
+ShardImage mergeImages(const ShardImage &Base, const ShardImage &Over);
 
 /// Counters describing one load.
 struct PersistentCacheLoadStats {

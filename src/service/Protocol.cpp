@@ -7,10 +7,6 @@
 
 #include "service/Protocol.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-
 using namespace dahlia;
 using namespace dahlia::service;
 
@@ -133,14 +129,8 @@ std::optional<Request> Request::fromJson(const std::string &Line,
     R.Rw = std::move(Rw);
   }
 
-  if (R.Kind == Op::CacheImport) {
-    if (!J->at("cache").isObject()) {
-      if (Err)
-        *Err = "cache-import requires a 'cache' object";
-      return std::nullopt;
-    }
+  if (R.Kind == Op::CacheImport)
     R.CachePayload = J->at("cache");
-  }
 
   if (R.Kind == Op::DseSweep) {
     if (R.Space.empty()) {
@@ -253,7 +243,7 @@ Json Response::toJson() const {
   if (Kind == Op::Watch && Watch.isObject())
     J["watch"] = Watch;
   if ((Kind == Op::CacheExport || Kind == Op::CacheImport) &&
-      Cache.isObject())
+      !Cache.isNull())
     J["cache"] = Cache;
   if (TraceId)
     J["trace_id"] = TraceId;
@@ -404,88 +394,44 @@ hlsim::Estimate dahlia::service::estimateFromJson(const Json &E) {
   return Est;
 }
 
-namespace {
-
-std::string hexKey(uint64_t K) {
-  char Buf[2 + 16 + 1];
-  std::snprintf(Buf, sizeof(Buf), "0x%016llx",
-                static_cast<unsigned long long>(K));
-  return Buf;
-}
-
-std::optional<uint64_t> parseHexKey(const std::string &S) {
-  if (S.size() < 3 || S[0] != '0' || (S[1] != 'x' && S[1] != 'X'))
-    return std::nullopt;
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long V = std::strtoull(S.c_str() + 2, &End, 16);
-  if (errno != 0 || End == S.c_str() + 2 || *End != '\0')
-    return std::nullopt;
-  return static_cast<uint64_t>(V);
-}
-
-} // namespace
-
-Json dahlia::service::cacheToJson(
-    const std::vector<std::pair<uint64_t, bool>> &Verdicts,
-    const std::vector<std::pair<uint64_t, hlsim::Estimate>> &Estimates) {
-  Json J = Json::object();
-  Json VArr = Json::array();
-  for (const auto &[Key, Accepted] : Verdicts) {
-    Json E = Json::object();
-    E["key"] = hexKey(Key);
-    E["accepted"] = Accepted;
-    VArr.push_back(std::move(E));
+std::string dahlia::service::cacheImageToWire(const ShardImage &Img) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string Bytes = Img.encode();
+  std::string Hex(Bytes.size() * 2, '0');
+  for (size_t I = 0; I != Bytes.size(); ++I) {
+    auto B = static_cast<unsigned char>(Bytes[I]);
+    Hex[2 * I] = kDigits[B >> 4];
+    Hex[2 * I + 1] = kDigits[B & 0xf];
   }
-  Json EArr = Json::array();
-  for (const auto &[Key, Est] : Estimates) {
-    Json E = Json::object();
-    E["key"] = hexKey(Key);
-    E["estimate"] = toJson(Est);
-    EArr.push_back(std::move(E));
-  }
-  J["verdicts"] = std::move(VArr);
-  J["estimates"] = std::move(EArr);
-  return J;
+  return Hex;
 }
 
-bool dahlia::service::cacheFromJson(
-    const Json &J, std::vector<std::pair<uint64_t, bool>> &Verdicts,
-    std::vector<std::pair<uint64_t, hlsim::Estimate>> &Estimates,
-    std::string *Err) {
-  if (!J.isObject()) {
+std::optional<ShardImage>
+dahlia::service::cacheImageFromWire(const Json &Cache, std::string *Err) {
+  auto Fail = [&](std::string Why) -> std::optional<ShardImage> {
     if (Err)
-      *Err = "cache payload must be an object";
-    return false;
+      *Err = std::move(Why);
+    return std::nullopt;
+  };
+  if (!Cache.isString())
+    return Fail("'cache' must be a hex string");
+  const std::string &Hex = Cache.asString();
+  if (Hex.size() % 2 != 0)
+    return Fail("'cache' hex has odd length " + std::to_string(Hex.size()));
+  auto Nibble = [](char C) {
+    return C >= '0' && C <= '9'   ? C - '0'
+           : C >= 'a' && C <= 'f' ? C - 'a' + 10
+                                  : -1;
+  };
+  std::string Bytes(Hex.size() / 2, '\0');
+  for (size_t I = 0; I != Bytes.size(); ++I) {
+    int Hi = Nibble(Hex[2 * I]), Lo = Nibble(Hex[2 * I + 1]);
+    if (Hi < 0 || Lo < 0)
+      return Fail("'cache' has a non-hex digit at offset " +
+                  std::to_string(Hi < 0 ? 2 * I : 2 * I + 1));
+    Bytes[I] = static_cast<char>(Hi << 4 | Lo);
   }
-  // A mistyped section must fail loudly: asArray() on a non-array decays
-  // to empty, which would turn a garbled payload into a silent no-op.
-  for (const char *Key : {"verdicts", "estimates"})
-    if (J.contains(Key) && !J.at(Key).isArray()) {
-      if (Err)
-        *Err = std::string("cache payload '") + Key + "' must be an array";
-      return false;
-    }
-  for (const Json &E : J.at("verdicts").asArray()) {
-    std::optional<uint64_t> Key = parseHexKey(E.at("key").asString());
-    if (!Key) {
-      if (Err)
-        *Err = "cache verdict entry with malformed key: " +
-               E.at("key").asString();
-      return false;
-    }
-    Verdicts.emplace_back(*Key, E.at("accepted").asBool());
-  }
-  for (const Json &E : J.at("estimates").asArray()) {
-    std::optional<uint64_t> Key = parseHexKey(E.at("key").asString());
-    if (!Key || !E.at("estimate").isObject()) {
-      if (Err)
-        *Err = "cache estimate entry with malformed key/estimate";
-      return false;
-    }
-    Estimates.emplace_back(*Key, estimateFromJson(E.at("estimate")));
-  }
-  return true;
+  return ShardImage::decode(Bytes, kPersistentCacheFormatVersion, Err);
 }
 
 Json dahlia::service::timingsToJson(const driver::CompileResult &R) {

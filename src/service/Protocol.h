@@ -55,6 +55,7 @@
 #include "cyclesim/CycleSim.h"
 #include "driver/CompilerPipeline.h"
 #include "hlsim/Estimator.h"
+#include "service/PersistentCache.h"
 #include "support/Json.h"
 
 #include <cstdint>
@@ -74,9 +75,10 @@ namespace dahlia::service {
 /// `"stream":true` over the TCP front end streams periodic progress
 /// records (see docs/protocol.md) until `count` records were sent.
 /// \c CacheExport / \c CacheImport ship the server's memo cache (verdicts
-/// and estimates) between fleet members: an export snapshots entries (an
+/// and estimates) between fleet members as one PersistentCache shard
+/// image in hex (see cacheImageToWire): an export snapshots entries (an
 /// optional `shard` "i/N" selects the key-residue slice so giant caches
-/// fit the line-size cap), an import bulk-merges entries into the
+/// fit the line-size cap), an import bulk-merges an image into the
 /// server's cache — how the DSE cluster coordinator converges a fleet of
 /// workers to all-hit (see docs/cluster.md).
 enum class Op {
@@ -138,8 +140,10 @@ struct Request {
   /// (support/EventLog.h) and is echoed in the response, so a slow request
   /// in a server-side trace is attributable from the client side alone.
   uint64_t TraceId = 0;
-  /// cache-import "cache": the entries to merge, in the cache-export wire
-  /// shape ({"verdicts":[...],"estimates":[...]}, see cacheToJson).
+  /// cache-import "cache": the entries to merge, a cache image in wire
+  /// form (cacheImageToWire). Validated by the op, not by fromJson, so a
+  /// payload of the wrong type gets the same structured error as a
+  /// corrupt image.
   Json CachePayload;
 
   /// Parses one protocol line. Returns std::nullopt and sets \p Err on
@@ -164,7 +168,9 @@ struct Response {
   Json Sweep;                         ///< dse-sweep op summary (object).
   Json Metrics;                       ///< metrics op snapshot (object).
   Json Watch;                         ///< watch op progress snapshot.
-  Json Cache;                         ///< cache-export/-import payload.
+  /// cache-export: the image in wire form; cache-import: a summary
+  /// object of what landed.
+  Json Cache;
   uint64_t TraceId = 0;               ///< Echo of the request's trace ID.
 
   Json toJson() const;
@@ -236,26 +242,20 @@ Json timingsToJson(const driver::CompileResult &R);
 /// which must stay exact inverses.
 Json jsonWithoutKey(const Json &J, const std::string &Key);
 
-/// Inverse of toJson(hlsim::Estimate) — shared by the client's response
-/// decoder and the server's cache-import handler.
+/// Inverse of toJson(hlsim::Estimate), for the client's response decoder.
 hlsim::Estimate estimateFromJson(const Json &E);
 
-/// Cache entries in the cache-export/-import wire shape: keys render as
-/// "0x..." hex strings (uint64 does not survive a signed JSON int), and
-/// both sides are sorted by key so the payload is deterministic.
-///
-///   {"verdicts":[{"key":"0x1a","accepted":true},...],
-///    "estimates":[{"key":"0x2b","estimate":{...}},...]}
-Json cacheToJson(const std::vector<std::pair<uint64_t, bool>> &Verdicts,
-                 const std::vector<std::pair<uint64_t, hlsim::Estimate>>
-                     &Estimates);
+/// The cache-export/-import wire form of memo entries: the encoded
+/// shard image (ShardImage::encode — magic, format version, entries,
+/// checksum) as one lowercase hex string, so disk and wire share one
+/// format and a version mismatch across a fleet fails loudly.
+std::string cacheImageToWire(const ShardImage &Img);
 
-/// Parsed cache payload. Returns false and sets \p Err on malformed
-/// input (bad key strings, missing fields).
-bool cacheFromJson(const Json &J,
-                   std::vector<std::pair<uint64_t, bool>> &Verdicts,
-                   std::vector<std::pair<uint64_t, hlsim::Estimate>> &Estimates,
-                   std::string *Err = nullptr);
+/// Inverse of cacheImageToWire. Returns std::nullopt and sets \p Err when
+/// \p Cache is not a string, is not lowercase hex of even length, or does
+/// not decode as a current-version image.
+std::optional<ShardImage> cacheImageFromWire(const Json &Cache,
+                                             std::string *Err = nullptr);
 
 } // namespace dahlia::service
 

@@ -93,11 +93,14 @@ public:
   ClientResponse lower(const std::string &Source);
   ClientResponse dseSweep(const std::string &Space, size_t Limit = 0,
                           unsigned Threads = 0);
-  /// Snapshot of the server's memo cache (the `cache-export` op).
-  /// \p Slice optionally selects one "i/N" key-residue slice.
+  /// Snapshot of the server's memo cache (the `cache-export` op): the
+  /// response's `Cache` is a cache image in wire form (decode it with
+  /// cacheImageFromWire). \p Slice optionally selects one "i/N"
+  /// key-residue slice.
   ClientResponse cacheExport(const std::string &Slice = {});
-  /// Bulk-merges \p Payload (cache-export wire shape) into the server's
-  /// memo cache (the `cache-import` op).
+  /// Bulk-merges \p Payload (a cache image in wire form, as
+  /// cacheImageToWire renders it) into the server's memo cache (the
+  /// `cache-import` op).
   ClientResponse cacheImport(Json Payload);
   /// Live scrape of the server's metrics registry (the `metrics` op).
   ClientResponse metrics();

@@ -24,7 +24,15 @@ namespace {
 
 void escapeTo(std::ostringstream &OS, const std::string &S) {
   OS << '"';
-  for (unsigned char C : S) {
+  // Bytes that need no escape are written in runs, not one at a time:
+  // protocol payloads carry strings of hundreds of kilobytes.
+  size_t Run = 0;
+  for (size_t I = 0; I != S.size(); ++I) {
+    auto C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    OS.write(S.data() + Run, static_cast<std::streamsize>(I - Run));
+    Run = I + 1;
     switch (C) {
     case '"':
       OS << "\\\"";
@@ -47,16 +55,14 @@ void escapeTo(std::ostringstream &OS, const std::string &S) {
     case '\t':
       OS << "\\t";
       break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << static_cast<char>(C);
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      OS << Buf;
+    }
     }
   }
+  OS.write(S.data() + Run, static_cast<std::streamsize>(S.size() - Run));
   OS << '"';
 }
 

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/PersistentCache.h"
+#include "support/StableHash.h"
 
 #include <gtest/gtest.h>
 
@@ -115,6 +116,115 @@ bool equalEstimates(const hlsim::Estimate &A, const hlsim::Estimate &B) {
          A.Lut == B.Lut && A.Ff == B.Ff && A.Bram == B.Bram &&
          A.Dsp == B.Dsp && A.LutMem == B.LutMem && A.II == B.II &&
          A.Incorrect == B.Incorrect && A.Predictable == B.Predictable;
+}
+
+bool equalImages(const ShardImage &A, const ShardImage &B) {
+  if (A.Verdicts != B.Verdicts || A.Estimates.size() != B.Estimates.size())
+    return false;
+  for (size_t I = 0; I != A.Estimates.size(); ++I)
+    if (A.Estimates[I].first != B.Estimates[I].first ||
+        !equalEstimates(A.Estimates[I].second, B.Estimates[I].second))
+      return false;
+  return true;
+}
+
+TEST_F(PersistentCacheTest, DiskFormatIsPinned) {
+  // The shard file bytes of a fixed entry set, hashed. The literal was
+  // generated before the codec was shared with the wire, so a change to
+  // the encoder that alters the on-disk bytes (and would orphan existing
+  // caches without a version bump) fails here.
+  DseCache C;
+  fillCache(C, 40, 25);
+  C.insertVerdict(0xfedcba9876543210ull, true);
+  C.insertEstimate(0x8000000000000001ull, estimateFor(12345));
+  PersistentCache P(Dir, oneShard());
+  ASSERT_TRUE(P.save(C));
+  std::ifstream In(P.shardPath(0), std::ios::binary);
+  std::string Bytes((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+  EXPECT_EQ(Bytes.size(), 2325u);
+  EXPECT_EQ(stableHash(Bytes), 0x923dfc1b7f904df8ull);
+
+  // The file is exactly the encoding of the snapshot, and the codec
+  // round-trips it.
+  ShardImage Snap{C.snapshotVerdicts(), C.snapshotEstimates()};
+  EXPECT_EQ(Snap.encode(), Bytes);
+  std::optional<ShardImage> Decoded = ShardImage::decode(Bytes);
+  ASSERT_TRUE(Decoded);
+  EXPECT_TRUE(equalImages(*Decoded, Snap));
+  EXPECT_EQ(Decoded->encode(), Bytes);
+  std::optional<ShardImage> Empty = ShardImage::decode(ShardImage().encode());
+  ASSERT_TRUE(Empty);
+  EXPECT_TRUE(Empty->Verdicts.empty() && Empty->Estimates.empty());
+}
+
+TEST_F(PersistentCacheTest, DecodeRejectsMalformedImages) {
+  ShardImage Img;
+  Img.Verdicts = {{1, true}, {5, false}};
+  Img.Estimates = {{3, estimateFor(3)}};
+  const std::string Good = Img.encode();
+  std::string Err;
+  ASSERT_TRUE(ShardImage::decode(Good, kPersistentCacheFormatVersion, &Err))
+      << Err;
+
+  std::string BadMagic = Good;
+  BadMagic[0] = 'X';
+  std::string BadSum = Good;
+  BadSum.back() ^= 0x01;
+  ShardImage Unsorted;
+  Unsorted.Verdicts = {{5, true}, {1, false}};
+  for (const std::string &Bytes :
+       {Good.substr(0, 20), BadMagic, BadSum, Good + "x",
+        Img.encode(kPersistentCacheFormatVersion + 1), Unsorted.encode()}) {
+    Err.clear();
+    EXPECT_FALSE(ShardImage::decode(Bytes, kPersistentCacheFormatVersion,
+                                    &Err));
+    EXPECT_FALSE(Err.empty());
+  }
+}
+
+TEST_F(PersistentCacheTest, MergeIsSortedUniqueAndOverrideWins) {
+  ShardImage Base, Over;
+  Base.Verdicts = {{1, true}, {4, true}, {9, false}};
+  Over.Verdicts = {{2, false}, {4, false}, {10, true}};
+  Base.Estimates = {{3, estimateFor(3)}, {7, estimateFor(7)}};
+  Over.Estimates = {{7, estimateFor(70)}, {8, estimateFor(8)}};
+
+  ShardImage M = mergeImages(Base, Over);
+  const std::vector<std::pair<uint64_t, bool>> WantV = {
+      {1, true}, {2, false}, {4, false}, {9, false}, {10, true}};
+  EXPECT_EQ(M.Verdicts, WantV);
+  ASSERT_EQ(M.Estimates.size(), 3u);
+  EXPECT_EQ(M.Estimates[0].first, 3u);
+  EXPECT_EQ(M.Estimates[1].first, 7u);
+  EXPECT_TRUE(equalEstimates(M.Estimates[1].second, estimateFor(70)));
+  EXPECT_EQ(M.Estimates[2].first, 8u);
+
+  // Either side empty is the identity, and merging is idempotent.
+  EXPECT_TRUE(equalImages(mergeImages(ShardImage(), Over), Over));
+  EXPECT_TRUE(equalImages(mergeImages(Base, ShardImage()), Base));
+  EXPECT_TRUE(equalImages(mergeImages(M, M), M));
+}
+
+TEST_F(PersistentCacheTest, SaveSnapshotWinsOverDiskOnCollision) {
+  PersistentCache P(Dir, oneShard());
+  DseCache First;
+  First.insertVerdict(42, true);
+  First.insertEstimate(43, estimateFor(1));
+  ASSERT_TRUE(P.save(First));
+  DseCache Second;
+  Second.insertVerdict(42, false);
+  Second.insertEstimate(43, estimateFor(2));
+  ASSERT_TRUE(P.save(Second));
+
+  DseCache Loaded;
+  ASSERT_TRUE(P.load(Loaded));
+  bool Accepted = true;
+  ASSERT_TRUE(Loaded.lookupVerdict(42, Accepted));
+  EXPECT_FALSE(Accepted);
+  hlsim::Estimate E;
+  ASSERT_TRUE(Loaded.lookupEstimate(43, E));
+  EXPECT_TRUE(equalEstimates(E, estimateFor(2)));
 }
 
 TEST_F(PersistentCacheTest, RoundTripIsLossless) {

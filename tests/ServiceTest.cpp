@@ -26,6 +26,7 @@
 #include "kernels/Kernels.h"
 #include "service/TcpServer.h"
 #include "support/Socket.h"
+#include "support/StableHash.h"
 
 #include <gtest/gtest.h>
 
@@ -1224,24 +1225,94 @@ TEST(Service, CacheExportImportRoundTripMakesColdServiceWarm) {
       static_cast<size_t>(First.Raw.at("sweep").at("explored").asInt());
   ASSERT_GT(Explored, 0u);
 
+  // Entries are counted by decoding the shipped cache image.
+  auto Decode = [](const ClientResponse &C) {
+    std::string Err;
+    std::optional<ShardImage> Img = cacheImageFromWire(C.R.Cache, &Err);
+    EXPECT_TRUE(Img) << Err;
+    return Img.value_or(ShardImage());
+  };
   ClientResponse Full = WarmC.cacheExport();
   ASSERT_TRUE(Full.R.Ok);
-  size_t FullVerdicts = Full.R.Cache.at("verdicts").size();
-  size_t FullEstimates = Full.R.Cache.at("estimates").size();
+  ASSERT_TRUE(Full.R.Cache.isString());
+  ShardImage FullImg = Decode(Full);
+  size_t FullVerdicts = FullImg.Verdicts.size();
+  size_t FullEstimates = FullImg.Estimates.size();
   EXPECT_GE(FullEstimates, Explored);
 
-  // Slices are disjoint and cover: counts add up to the whole export.
+  // Slices are disjoint and cover: counts add up to the whole export,
+  // and their union re-encodes to the full export byte for byte.
   size_t SlicedVerdicts = 0, SlicedEstimates = 0;
+  ShardImage Union;
   for (const char *Slice : {"0/3", "1/3", "2/3"}) {
     ClientResponse S = WarmC.cacheExport(Slice);
     ASSERT_TRUE(S.R.Ok) << Slice;
-    SlicedVerdicts += S.R.Cache.at("verdicts").size();
-    SlicedEstimates += S.R.Cache.at("estimates").size();
+    ShardImage Img = Decode(S);
+    SlicedVerdicts += Img.Verdicts.size();
+    SlicedEstimates += Img.Estimates.size();
+    Union = mergeImages(Union, Img);
   }
   EXPECT_EQ(SlicedVerdicts, FullVerdicts);
   EXPECT_EQ(SlicedEstimates, FullEstimates);
+  EXPECT_EQ(cacheImageToWire(Union), Full.R.Cache.asString());
   EXPECT_FALSE(WarmC.cacheExport("7/3").R.Ok); // malformed slice
   EXPECT_FALSE(WarmC.cacheExport("nope").R.Ok);
+
+  // Garbage payloads are a structured error that imports nothing, not a
+  // poisoned cache. Each is derived from the valid full export.
+  auto Hex = [](const std::string &Bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string Out;
+    for (unsigned char B : Bytes) {
+      Out.push_back(kDigits[B >> 4]);
+      Out.push_back(kDigits[B & 0xf]);
+    }
+    return Out;
+  };
+  auto Reseal = [](std::string Bytes) { // Recomputes the checksum.
+    size_t Body = Bytes.size() - 8;
+    uint64_t Sum = stableHash(std::string_view(Bytes.data(), Body));
+    for (int I = 0; I != 8; ++I)
+      Bytes[Body + I] = static_cast<char>((Sum >> (I * 8)) & 0xff);
+    return Bytes;
+  };
+  const std::string Good = Full.R.Cache.asString();
+  ASSERT_EQ(Good, Hex(FullImg.encode()));
+  std::string FlippedSum = FullImg.encode();
+  FlippedSum.back() ^= 0x01;
+  std::string HugeCount = FullImg.encode();
+  HugeCount[8 + 5] = 0x01; // Verdict count += 2^40: past the payload.
+  std::string NonHex = Good;
+  NonHex[Good.size() / 2] = 'g';
+  Json Object = Json::object();
+  Object["verdicts"] = Json::array();
+  const std::vector<std::pair<const char *, Json>> BadPayloads = {
+      {"object", Object},
+      {"null", Json()},
+      {"odd-length hex", Json(Good.substr(0, Good.size() - 1))},
+      {"non-hex digit", Json(NonHex)},
+      {"uppercase hex", Json(std::string(Good.size(), 'A'))},
+      {"flipped checksum byte", Json(Hex(FlippedSum))},
+      {"wrong version",
+       Json(Hex(FullImg.encode(kPersistentCacheFormatVersion - 1)))},
+      {"count larger than the payload", Json(Hex(Reseal(HugeCount)))},
+  };
+  CompileService Fresh(testOptions());
+  ServiceClient FreshC(Fresh);
+  for (const auto &[What, Payload] : BadPayloads) {
+    ClientResponse R = FreshC.cacheImport(Payload);
+    EXPECT_FALSE(R.R.Ok) << What;
+    EXPECT_FALSE(R.R.Errors.empty()) << What;
+    EXPECT_EQ(Fresh.cache()->verdictCount(), 0u) << What;
+    EXPECT_EQ(Fresh.cache()->estimateCount(), 0u) << What;
+  }
+  // The same payload over the raw line protocol: an object `cache` is an
+  // error response, never a silent no-op.
+  std::vector<Response> Raw = Fresh.processBatch(
+      {R"({"id":7,"op":"cache-import","cache":{"verdicts":[]}})"});
+  ASSERT_EQ(Raw.size(), 1u);
+  EXPECT_FALSE(Raw[0].Ok);
+  EXPECT_FALSE(Raw[0].Errors.empty());
 
   CompileService Cold(testOptions());
   ServiceClient ColdC(Cold);
@@ -1250,6 +1321,8 @@ TEST(Service, CacheExportImportRoundTripMakesColdServiceWarm) {
   EXPECT_EQ(static_cast<size_t>(
                 Imported.R.Cache.at("imported_estimates").asInt()),
             FullEstimates);
+  EXPECT_EQ(Cold.cache()->verdictCount(), FullVerdicts);
+  EXPECT_EQ(Cold.cache()->estimateCount(), FullEstimates);
 
   ClientResponse Second = ColdC.dseSweep("gemm-blocked", 150, 2);
   ASSERT_TRUE(Second.R.Ok);
@@ -1258,11 +1331,6 @@ TEST(Service, CacheExportImportRoundTripMakesColdServiceWarm) {
             static_cast<int64_t>(Explored));
   EXPECT_EQ(S2.at("front_hash").asString(),
             First.Raw.at("sweep").at("front_hash").asString());
-
-  // Garbage payloads are a structured error, not a poisoned cache.
-  Json Bad = Json::object();
-  Bad["verdicts"] = "not an array";
-  EXPECT_FALSE(ColdC.cacheImport(std::move(Bad)).R.Ok);
 }
 
 TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
