@@ -18,10 +18,11 @@
 // Objectives travel bit-exactly — the JSON serializer emits
 // shortest-round-trip doubles.
 //
-// Inputs are the JSON files fig7-style harnesses write (--shard i/N) or
-// the "sweep" objects of sharded dse-sweep service responses; each must
-// carry "front_points" and agree on "shard_count", with distinct
-// "shard_index".
+// Inputs are the JSON files fig7-style harnesses write (--shard i/N):
+// each must pass dse::parseShardFront (a valid shard spec; duplicate-free
+// "front_points" inside that shard's partition), carry the integer counts
+// it sums ("space_size", "accepted", "full_estimates"), and agree on
+// "shard_count", with distinct "shard_index". Any violation exits 1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +31,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <set>
 #include <sstream>
 
 using namespace dahlia;
@@ -66,8 +67,8 @@ int main(int Argc, char **Argv) {
     return usage();
 
   std::vector<dse::FrontPoint> Points;
-  std::map<int64_t, bool> SeenShard;
-  int64_t ShardCount = -1;
+  std::set<unsigned> SeenShard;
+  unsigned ShardCount = 0;
   std::string Bench;
   size_t Explored = 0, Accepted = 0, FullEstimates = 0;
 
@@ -86,11 +87,9 @@ int main(int Argc, char **Argv) {
                    Path, Err.c_str());
       return 1;
     }
-    if (!J->contains("front_points")) {
-      std::fprintf(stderr,
-                   "dahlia-dse-merge: %s carries no \"front_points\" — "
-                   "was it written by a sharded run?\n",
-                   Path);
+    std::optional<dse::ShardFront> Part = dse::parseShardFront(*J, &Err);
+    if (!Part) {
+      std::fprintf(stderr, "dahlia-dse-merge: %s: %s\n", Path, Err.c_str());
       return 1;
     }
 
@@ -103,53 +102,43 @@ int main(int Argc, char **Argv) {
                    Path, B.c_str(), Bench.c_str());
       return 1;
     }
-    int64_t Count = J->at("shard_count").asInt(1);
-    int64_t Index = J->at("shard_index").asInt(0);
-    if (ShardCount < 0)
-      ShardCount = Count;
-    else if (Count != ShardCount) {
+    if (ShardCount == 0)
+      ShardCount = Part->Shard.Count;
+    else if (Part->Shard.Count != ShardCount) {
       std::fprintf(stderr,
-                   "dahlia-dse-merge: %s has shard_count %lld; expected "
-                   "%lld\n",
-                   Path, static_cast<long long>(Count),
-                   static_cast<long long>(ShardCount));
+                   "dahlia-dse-merge: %s has shard_count %u; expected %u\n",
+                   Path, Part->Shard.Count, ShardCount);
       return 1;
     }
-    if (SeenShard[Index]) {
-      std::fprintf(stderr, "dahlia-dse-merge: duplicate shard %lld (%s)\n",
-                   static_cast<long long>(Index), Path);
+    if (!SeenShard.insert(Part->Shard.Index).second) {
+      std::fprintf(stderr, "dahlia-dse-merge: duplicate shard %u (%s)\n",
+                   Part->Shard.Index, Path);
       return 1;
     }
-    SeenShard[Index] = true;
 
-    std::optional<std::vector<dse::FrontPoint>> Part =
-        dse::frontPointsFromJson(J->at("front_points"), &Err);
-    if (!Part) {
-      std::fprintf(stderr, "dahlia-dse-merge: %s: %s\n", Path, Err.c_str());
-      return 1;
+    // A missing count would sum to a silently wrong total.
+    for (auto [Key, Sum] : {std::pair<const char *, size_t *>{"space_size",
+                                                              &Explored},
+                            {"accepted", &Accepted},
+                            {"full_estimates", &FullEstimates}}) {
+      if (!J->at(Key).isInt()) {
+        std::fprintf(stderr,
+                     "dahlia-dse-merge: %s lacks the integer count \"%s\"\n",
+                     Path, Key);
+        return 1;
+      }
+      *Sum += static_cast<size_t>(J->at(Key).asInt());
     }
-    Points.insert(Points.end(), Part->begin(), Part->end());
-    Explored += static_cast<size_t>(J->at("space_size").asInt());
-    Accepted += static_cast<size_t>(J->at("accepted").asInt());
-    FullEstimates += static_cast<size_t>(J->at("full_estimates").asInt());
+    Points.insert(Points.end(), Part->Points.begin(), Part->Points.end());
   }
 
-  if (ShardCount >= 1 &&
-      static_cast<int64_t>(SeenShard.size()) != ShardCount)
+  if (SeenShard.size() != ShardCount)
     std::fprintf(stderr,
-                 "dahlia-dse-merge: warning: merging %zu of %lld shards — "
+                 "dahlia-dse-merge: warning: merging %zu of %u shards — "
                  "the front is only exact over the shards provided\n",
-                 SeenShard.size(), static_cast<long long>(ShardCount));
+                 SeenShard.size(), ShardCount);
 
   dse::MergedFronts Merged = dse::mergeFrontPoints(Points);
-
-  // Objectives of every surviving member, for the hash.
-  std::map<size_t, dse::Objectives> ObjByIndex;
-  for (const dse::FrontPoint &P : Points)
-    ObjByIndex[P.Index] = P.Obj;
-  auto ObjOf = [&](size_t I) -> const dse::Objectives & {
-    return ObjByIndex.at(I);
-  };
 
   Json J = Json::object();
   J["bench"] = Bench;
@@ -161,11 +150,9 @@ int main(int Argc, char **Argv) {
   J["pareto_points"] = Merged.Front.size();
   J["accepted_pareto_points"] = Merged.AcceptedFront.size();
   J["front"] = dse::indicesToJson(Merged.Front);
-  J["front_hash"] =
-      dse::hashString(dse::frontHash(Merged.Front, ObjOf));
+  J["front_hash"] = dse::hashString(Merged.FrontHash);
   J["accepted_front"] = dse::indicesToJson(Merged.AcceptedFront);
-  J["accepted_front_hash"] =
-      dse::hashString(dse::frontHash(Merged.AcceptedFront, ObjOf));
+  J["accepted_front_hash"] = dse::hashString(Merged.AcceptedFrontHash);
 
   std::string Dump = J.dump();
   if (OutPath) {

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <istream>
-#include <map>
 #include <memory>
 #include <thread>
 
@@ -96,24 +95,6 @@ std::string joinErrors(const std::vector<Error> &Errors) {
   return Out;
 }
 
-/// Canonical fingerprint of one shard's front points: ascending indices
-/// hashed together with their exact objective vectors (the same FNV
-/// front hash the bench gate pins). \p Points must already be sorted
-/// ascending and duplicate-free (attemptShard validates).
-uint64_t fingerprintOf(const std::vector<dse::FrontPoint> &Points) {
-  std::vector<size_t> Indices;
-  std::map<size_t, const dse::Objectives *> ObjByIndex;
-  Indices.reserve(Points.size());
-  for (const dse::FrontPoint &P : Points) {
-    Indices.push_back(P.Index);
-    ObjByIndex[P.Index] = &P.Obj;
-  }
-  return dse::frontHash(
-      Indices, [&](size_t I) -> const dse::Objectives & {
-        return *ObjByIndex.at(I);
-      });
-}
-
 /// Key-residue slices per cache-export, so each response line stays well
 /// under the server's line cap for giant caches.
 constexpr unsigned kCacheSlices = 4;
@@ -121,16 +102,14 @@ constexpr unsigned kCacheSlices = 4;
 /// union.
 constexpr size_t kCacheImportChunk = 4096;
 
-/// One strict-mode client connection to a worker.
+/// One client connection to a worker.
 struct WorkerConn {
   int Fd;
   FdStreamBuf Buf;
   std::iostream Ios;
   service::ServiceClient C;
 
-  explicit WorkerConn(int Fd) : Fd(Fd), Buf(Fd), Ios(&Buf), C(Ios, Ios) {
-    C.setStrict(true);
-  }
+  explicit WorkerConn(int Fd) : Fd(Fd), Buf(Fd), Ios(&Buf), C(Ios, Ios) {}
   ~WorkerConn() { closeFd(Fd); }
   WorkerConn(const WorkerConn &) = delete;
   WorkerConn &operator=(const WorkerConn &) = delete;
@@ -236,59 +215,25 @@ bool ClusterCoordinator::attemptShard(size_t W, unsigned Shard,
     return false;
   }
   const Json &S = Resp.R.Sweep;
-  if (!S.isObject()) {
-    *Err = "sweep response carries no sweep object";
+  std::optional<dse::ShardFront> Front = dse::parseShardFront(S, Err);
+  if (!Front)
     return false;
-  }
   // The worker must echo the shard it was asked for — a duplicate or
   // crossed reply merged into the front would corrupt it silently.
-  if (S.at("shard_index").asInt(-1) != static_cast<int64_t>(Shard) ||
-      S.at("shard_count").asInt(-1) != static_cast<int64_t>(Opts.Shards)) {
-    *Err = "worker echoed shard " + S.at("shard_index").dump() + "/" +
-           S.at("shard_count").dump() + ", expected " +
+  if (Front->Shard.Index != Shard || Front->Shard.Count != Opts.Shards) {
+    *Err = "worker echoed shard " + std::to_string(Front->Shard.Index) + "/" +
+           std::to_string(Front->Shard.Count) + ", expected " +
            std::to_string(Shard) + "/" + std::to_string(Opts.Shards);
     return false;
   }
-  if (!S.contains("front_points")) {
-    *Err = "sharded sweep response lacks front_points";
+  if (Opts.Limit && !Front->Points.empty() &&
+      Front->Points.back().Index >= Opts.Limit) {
+    *Err = "front point index " + std::to_string(Front->Points.back().Index) +
+           " outside the limited space";
     return false;
-  }
-  std::string ParseErr;
-  std::optional<std::vector<dse::FrontPoint>> Parsed =
-      dse::frontPointsFromJson(S.at("front_points"), &ParseErr);
-  if (!Parsed) {
-    *Err = "malformed front_points: " + ParseErr;
-    return false;
-  }
-  std::sort(Parsed->begin(), Parsed->end(),
-            [](const dse::FrontPoint &A, const dse::FrontPoint &B) {
-              return A.Index < B.Index;
-            });
-  // Partition and bounds checks: a point outside this shard's StableHash
-  // partition (or duplicated) can only come from a confused or hostile
-  // worker, and would poison the merged front.
-  dse::ShardSpec Partition;
-  Partition.Index = Shard;
-  Partition.Count = Opts.Shards;
-  for (size_t I = 0; I != Parsed->size(); ++I) {
-    const dse::FrontPoint &P = (*Parsed)[I];
-    if (I > 0 && P.Index == (*Parsed)[I - 1].Index) {
-      *Err = "duplicate front point for config " + std::to_string(P.Index);
-      return false;
-    }
-    if (Opts.Limit && P.Index >= Opts.Limit) {
-      *Err = "front point index " + std::to_string(P.Index) +
-             " outside the limited space";
-      return false;
-    }
-    if (Partition.shardOf(P.Index) != Partition.Index) {
-      *Err = "front point " + std::to_string(P.Index) +
-             " is outside shard " + std::to_string(Shard) + "'s partition";
-      return false;
-    }
   }
 
-  *Points = std::move(*Parsed);
+  *Points = std::move(Front->Points);
   // Keep the summary (for aggregation) without the bulky point array.
   *Sweep = service::jsonWithoutKey(S, "front_points");
   return true;
@@ -380,7 +325,7 @@ void ClusterCoordinator::workerLoop(size_t W) {
       if (OK) {
         WorkerStates[W].ConsecutiveFailures = 0;
         ++WorkerStates[W].ShardsDone;
-        FP = fingerprintOf(Points);
+        FP = dse::frontPointsFingerprint(Points);
         if (S.Ph == Phase::Done) {
           // First-wins: a speculative duplicate must be bit-identical to
           // the recorded completion — shard sweeps are deterministic, so
@@ -538,16 +483,8 @@ ClusterResult ClusterCoordinator::run() {
               return A.Index < B.Index;
             });
   Result.Fronts = dse::mergeFrontPoints(Result.Points);
-  std::map<size_t, const dse::Objectives *> ObjByIndex;
-  for (const dse::FrontPoint &P : Result.Points)
-    ObjByIndex[P.Index] = &P.Obj;
-  auto ObjOf = [&](size_t I) -> const dse::Objectives & {
-    return *ObjByIndex.at(I);
-  };
-  Result.FrontHash =
-      dse::hashString(dse::frontHash(Result.Fronts.Front, ObjOf));
-  Result.AcceptedFrontHash =
-      dse::hashString(dse::frontHash(Result.Fronts.AcceptedFront, ObjOf));
+  Result.FrontHash = dse::hashString(Result.Fronts.FrontHash);
+  Result.AcceptedFrontHash = dse::hashString(Result.Fronts.AcceptedFrontHash);
   Result.Stats.Seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - T0)
                              .count();

@@ -9,8 +9,9 @@
 /// The distributed DSE coordinator (`dse-cluster`): carves one sweep space
 /// into M hash-partitioned shards (the existing StableHash ShardSpec
 /// partitioning), dispatches them to N `dahlia-serve` workers over the TCP
-/// `dse-sweep` protocol (streamed, strict-mode client decoding), and merges
-/// the partial fronts with the dahlia-dse-merge union logic into a front
+/// `dse-sweep` protocol (streamed), admits each reply through
+/// dse::parseShardFront (as dahlia-dse-merge does shard files), and merges
+/// the partial fronts with dse::mergeFrontPoints into a front
 /// bit-identical to a single-machine exhaustive run.
 ///
 /// Robustness model (docs/cluster.md has the full state machine):
@@ -23,9 +24,9 @@
 ///     dead and its shards are reassigned;
 ///   * shard sweeps are idempotent, so idle workers may speculatively
 ///     re-run in-flight shards of stragglers — duplicate completions
-///     resolve first-wins, cross-checked by the FNV front fingerprint
-///     (a mismatch means a nondeterministic or byzantine worker and
-///     fails the run loudly);
+///     resolve first-wins, cross-checked by dse::frontPointsFingerprint
+///     over every (index, objectives, accepted) triple (a mismatch means
+///     a nondeterministic or byzantine worker and fails the run loudly);
 ///   * `syncCaches` ships every worker's memo cache to every other
 ///     worker (the `cache-export`/`cache-import` ops), converging a
 ///     fleet to all-hit for the next sweep.

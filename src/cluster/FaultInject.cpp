@@ -132,13 +132,9 @@ void FaultyWorker::serveConnection(int Fd, unsigned Serial) {
         Svc.processBatchEx(Epoch);
     Epoch.clear();
     for (service::CompileService::BatchEntry &E : Entries) {
-      if (E.Req && service::ResponseStream::wantsStream(*E.Req, E.Resp)) {
-        service::ResponseStream S(std::move(E.Resp));
-        while (std::optional<std::string> L = S.next())
-          OutLines.push_back(std::move(*L));
-      } else {
-        OutLines.push_back(E.Resp.toJson().dump());
-      }
+      service::ResponseStream S(E.Req, std::move(E.Resp));
+      while (std::optional<std::string> L = S.next())
+        OutLines.push_back(std::move(*L));
     }
     if (Opts.PreReplyDelayMs > 0 &&
         (Opts.TriggerConnections == 0 || Serial <= Opts.TriggerConnections))

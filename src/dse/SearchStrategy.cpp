@@ -19,6 +19,7 @@
 #include <cassert>
 #include <charconv>
 #include <cstdio>
+#include <tuple>
 
 using namespace dahlia;
 using namespace dahlia::dse;
@@ -52,6 +53,8 @@ std::optional<StrategyKind> dahlia::dse::parseStrategy(std::string_view Name) {
 namespace {
 /// Seed separating the shard partition from every other StableHash use.
 constexpr uint64_t kShardSeed = stableHash("dahlia.dse.shard");
+/// Largest shard count a shard spec may name.
+constexpr int64_t kMaxShardCount = 4096;
 } // namespace
 
 unsigned ShardSpec::shardOf(size_t I) const {
@@ -72,7 +75,7 @@ std::optional<ShardSpec> dahlia::dse::parseShard(std::string_view Spec) {
   if (P1.ec != std::errc() || P1.ptr != IdxS.data() + IdxS.size() ||
       P2.ec != std::errc() || P2.ptr != CntS.data() + CntS.size())
     return std::nullopt;
-  if (Count < 1 || Count > 4096 || Index >= Count)
+  if (Count < 1 || Count > kMaxShardCount || Index >= Count)
     return std::nullopt;
   return ShardSpec{Index, Count};
 }
@@ -694,6 +697,36 @@ std::vector<FrontPoint> dahlia::dse::collectFrontPoints(const DseResult &R) {
   return Out;
 }
 
+namespace {
+
+constexpr uint64_t kFrontHashSeed = 0xcbf29ce484222325ULL;
+
+/// Folds one front member (index, then its objective bits) into \p H.
+uint64_t hashMember(uint64_t H, size_t I, const Objectives &O) {
+  H = stableHashCombine(H, I);
+  for (double V : {O.Latency, O.Lut, O.Ff, O.Bram, O.Dsp})
+    H = stableHashCombine(H, std::bit_cast<uint64_t>(V));
+  return H;
+}
+
+/// \p F's members ascending, and their frontHash over the objectives \p F
+/// kept (the winning vector of each member).
+std::pair<std::vector<size_t>, uint64_t> membersAndHash(const ParetoFront &F) {
+  std::vector<std::pair<size_t, Objectives>> Members;
+  F.forEachMember(
+      [&](size_t I, const Objectives &O) { Members.emplace_back(I, O); });
+  std::sort(Members.begin(), Members.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  std::pair<std::vector<size_t>, uint64_t> Out{{}, kFrontHashSeed};
+  for (const auto &[I, O] : Members) {
+    Out.first.push_back(I);
+    Out.second = hashMember(Out.second, I, O);
+  }
+  return Out;
+}
+
+} // namespace
+
 MergedFronts
 dahlia::dse::mergeFrontPoints(const std::vector<FrontPoint> &Points) {
   ParetoFront All, Acc;
@@ -702,19 +735,91 @@ dahlia::dse::mergeFrontPoints(const std::vector<FrontPoint> &Points) {
     if (P.Accepted)
       Acc.insert(P.Index, P.Obj);
   }
-  return {All.indices(), Acc.indices()};
+  MergedFronts M;
+  std::tie(M.Front, M.FrontHash) = membersAndHash(All);
+  std::tie(M.AcceptedFront, M.AcceptedFrontHash) = membersAndHash(Acc);
+  return M;
+}
+
+std::optional<ShardFront> dahlia::dse::parseShardFront(const Json &Sweep,
+                                                       std::string *Err) {
+  auto Fail = [&](std::string Msg) -> std::optional<ShardFront> {
+    if (Err)
+      *Err = std::move(Msg);
+    return std::nullopt;
+  };
+  const Json &IndexJ = Sweep.at("shard_index");
+  const Json &CountJ = Sweep.at("shard_count");
+  if (!IndexJ.isInt() || !CountJ.isInt() || IndexJ.asInt() < 0 ||
+      IndexJ.asInt() >= CountJ.asInt() || CountJ.asInt() > kMaxShardCount)
+    return Fail("shard " + IndexJ.dump() + "/" + CountJ.dump() +
+                " is not a shard spec (0 <= index < count)");
+  ShardFront F;
+  F.Shard.Index = static_cast<unsigned>(IndexJ.asInt());
+  F.Shard.Count = static_cast<unsigned>(CountJ.asInt());
+  std::string Shard =
+      std::to_string(F.Shard.Index) + "/" + std::to_string(F.Shard.Count);
+  if (!Sweep.contains("front_points"))
+    return Fail("shard " + Shard + " carries no front_points");
+  std::string Why;
+  std::optional<std::vector<FrontPoint>> Points =
+      frontPointsFromJson(Sweep.at("front_points"), &Why);
+  if (!Points)
+    return Fail("shard " + Shard + ": malformed front_points: " + Why);
+  F.Points = std::move(*Points);
+  std::sort(F.Points.begin(), F.Points.end(),
+            [](const FrontPoint &A, const FrontPoint &B) {
+              return A.Index < B.Index;
+            });
+  // A repeated or foreign point can only come from a confused or hostile
+  // producer, and would poison the merged front.
+  auto Dup = std::adjacent_find(F.Points.begin(), F.Points.end(),
+                                [](const FrontPoint &A, const FrontPoint &B) {
+                                  return A.Index == B.Index;
+                                });
+  if (Dup != F.Points.end())
+    return Fail("shard " + Shard + ": duplicate front point for config " +
+                std::to_string(Dup->Index));
+  for (const FrontPoint &P : F.Points)
+    if (F.Shard.shardOf(P.Index) != F.Shard.Index)
+      return Fail("shard " + Shard + ": front point " +
+                  std::to_string(P.Index) +
+                  " is outside the shard's partition");
+  // The points must be exactly the members of the shard's own front
+  // lists (what collectFrontPoints publishes): a reply that drops one
+  // would merge to a silently different front.
+  std::vector<int64_t> Members;
+  for (const char *Key : {"front", "accepted_front"}) {
+    if (!Sweep.at(Key).isArray())
+      return Fail("shard " + Shard + " carries no " + Key + " list");
+    for (const Json &I : Sweep.at(Key).asArray())
+      Members.push_back(I.asInt(-1));
+  }
+  std::sort(Members.begin(), Members.end());
+  Members.erase(std::unique(Members.begin(), Members.end()), Members.end());
+  if (!std::equal(Members.begin(), Members.end(), F.Points.begin(),
+                  F.Points.end(), [](int64_t M, const FrontPoint &P) {
+                    return M == static_cast<int64_t>(P.Index);
+                  }))
+    return Fail("shard " + Shard +
+                ": front_points differ from its front and accepted_front");
+  return F;
+}
+
+uint64_t
+dahlia::dse::frontPointsFingerprint(const std::vector<FrontPoint> &Points) {
+  uint64_t H = kFrontHashSeed;
+  for (const FrontPoint &P : Points)
+    H = stableHashCombine(hashMember(H, P.Index, P.Obj), P.Accepted);
+  return H;
 }
 
 uint64_t dahlia::dse::frontHash(
     const std::vector<size_t> &Members,
     const std::function<const Objectives &(size_t)> &ObjOf) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (size_t I : Members) {
-    H = stableHashCombine(H, I);
-    const Objectives &O = ObjOf(I);
-    for (double V : {O.Latency, O.Lut, O.Ff, O.Bram, O.Dsp})
-      H = stableHashCombine(H, std::bit_cast<uint64_t>(V));
-  }
+  uint64_t H = kFrontHashSeed;
+  for (size_t I : Members)
+    H = hashMember(H, I, ObjOf(I));
   return H;
 }
 

@@ -97,10 +97,12 @@ struct FrontPoint {
 /// ascending by index) — what a shard publishes for merging.
 std::vector<FrontPoint> collectFrontPoints(const DseResult &R);
 
-/// Merged front membership over any number of shards' front points.
+/// Merged front membership over any number of shards' front points,
+/// with the frontHash of each front over the objectives the merge kept.
 struct MergedFronts {
   std::vector<size_t> Front;
   std::vector<size_t> AcceptedFront;
+  uint64_t FrontHash = 0, AcceptedFrontHash = 0;
 };
 
 /// Unions partial fronts into the membership a single-process sweep of
@@ -108,6 +110,28 @@ struct MergedFronts {
 /// its own shard's partial front, and extra (locally-undominated) points
 /// are eliminated during the merge.
 MergedFronts mergeFrontPoints(const std::vector<FrontPoint> &Points);
+
+/// One shard's contribution to a merged front.
+struct ShardFront {
+  ShardSpec Shard;
+  std::vector<FrontPoint> Points; ///< Ascending by index, duplicate-free.
+};
+
+/// Reads one shard's sweep object (a fig7 `--shard i/N --json` file, or
+/// the `sweep` of a sharded dse-sweep response) into its shard spec and
+/// its `front_points` sorted by index: the only way the coordinator and
+/// dahlia-dse-merge admit a shard into a merged front. Returns
+/// std::nullopt and sets \p Err when `front_points` is missing or
+/// malformed, the spec is outside 0 <= index < count, an index repeats,
+/// a point lies outside the shard's StableHash partition, or the points
+/// are not exactly the members of the sweep's `front`/`accepted_front`.
+std::optional<ShardFront> parseShardFront(const Json &Sweep,
+                                          std::string *Err = nullptr);
+
+/// Fingerprint of a shard's front points: every (index, objectives,
+/// accepted) triple, in order. Two replies for one shard agree iff their
+/// fingerprints do (the coordinator's duplicate-completion cross-check).
+uint64_t frontPointsFingerprint(const std::vector<FrontPoint> &Points);
 
 /// Deterministic hash of front membership *and* the members' exact
 /// objective vectors; the CI regression gate compares this across runs.

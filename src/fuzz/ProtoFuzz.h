@@ -129,8 +129,8 @@ struct ClusterFuzzOptions {
 ///   * the honest worker answers a fresh probe after every round.
 ///
 /// Minimized wire-level findings are pinned as `cluster_*.lines` scripts
-/// in tests/fuzz-corpus/, replayed by FuzzTest through the strict client
-/// decoder (the coordinator's mode).
+/// in tests/fuzz-corpus/, replayed by FuzzTest through the client decoder
+/// the coordinator uses.
 ProtoFuzzReport runClusterFuzz(const ClusterFuzzOptions &O = {});
 
 } // namespace dahlia::fuzz

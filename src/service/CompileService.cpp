@@ -785,17 +785,12 @@ void CompileService::serveStream(std::istream &In, std::ostream &Out) {
   auto Flush = [&] {
     if (Batch.empty())
       return;
+    // Over a blocking stream the lines go out back to back (the pull
+    // model matters on the TCP server, whose write buffer is bounded).
     for (BatchEntry &E : processBatchEx(Batch)) {
-      if (E.Req && ResponseStream::wantsStream(*E.Req, E.Resp)) {
-        // Chunked rendering; over a blocking stream the lines simply go
-        // out back to back (the pull model matters on the TCP server,
-        // where the write buffer is bounded).
-        ResponseStream S(std::move(E.Resp));
-        while (std::optional<std::string> Line = S.next())
-          Out << *Line << '\n';
-      } else {
-        Out << E.Resp.toJson().dump() << '\n';
-      }
+      ResponseStream S(E.Req, std::move(E.Resp));
+      while (std::optional<std::string> Line = S.next())
+        Out << *Line << '\n';
     }
     Out.flush();
     Batch.clear();

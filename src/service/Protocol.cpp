@@ -260,21 +260,18 @@ Json dahlia::service::jsonWithoutKey(const Json &J, const std::string &Key) {
   return Json(std::move(O));
 }
 
-bool dahlia::service::ResponseStream::wantsStream(const Request &R,
-                                                  const Response &Resp) {
-  return R.Stream && Resp.Ok &&
-         (R.Kind == Op::DseSweep || R.Kind == Op::Simulate);
-}
-
-ResponseStream::ResponseStream(Response Resp) : R(std::move(Resp)) {
+ResponseStream::ResponseStream(const std::optional<Request> &Req,
+                               Response Resp)
+    : R(std::move(Resp)) {
   // The bulky array moves out of the retained response: a stream queued
   // behind a slow connection holds its payload once, not twice, and the
   // terminal line serializes cheaply.
-  if (R.Kind == Op::DseSweep && R.Ok) {
+  bool Stream = Req && Req->Stream && R.Ok;
+  if (Stream && R.Kind == Op::DseSweep) {
     ChunkKey = "front_point";
     Chunks = R.Sweep.at("front_points").asArray();
     R.Sweep = jsonWithoutKey(R.Sweep, "front_points");
-  } else if (R.Kind == Op::Simulate && R.Ok && R.Sim) {
+  } else if (Stream && R.Kind == Op::Simulate && R.Sim) {
     ChunkKey = "nest";
     Chunks = service::toJson(*R.Sim).at("nests").asArray();
     R.Sim->Nests.clear();

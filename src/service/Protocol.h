@@ -180,11 +180,13 @@ struct Response {
 // ResponseStream: chunked rendering of one streamed response
 //===----------------------------------------------------------------------===//
 
-/// Renders one response in the streamed wire form, one line at a time, so
-/// a server can interleave a giant sweep answer with other connections'
-/// traffic under a bounded write buffer: the producer only serializes the
-/// next line when the buffer has room (pull model — this is the service's
-/// back-pressure mechanism).
+/// Renders one reply, one line at a time, so a server can interleave a
+/// giant sweep answer with other connections' traffic under a bounded
+/// write buffer: the producer only serializes the next line when the
+/// buffer has room (pull model — this is the service's back-pressure
+/// mechanism). Every reply renders through here: a successful dse-sweep
+/// or simulate response to a request that asked for `"stream":true`
+/// takes the streamed wire form, anything else is one plain line.
 ///
 /// Line sequence: header, then one chunk per front point (dse-sweep) or
 /// per nest (simulate), then the terminal summary. The terminal summary is
@@ -193,9 +195,9 @@ struct Response {
 /// batch response exactly (ServiceClient::callBatch does this).
 class ResponseStream {
 public:
-  /// \p R must be a successful dse-sweep or simulate response (see
-  /// wantsStream); anything else renders as a single plain line.
-  explicit ResponseStream(Response R);
+  /// \p Req is the request \p R answers (std::nullopt when its line was
+  /// malformed, which never streams).
+  ResponseStream(const std::optional<Request> &Req, Response R);
 
   /// The next line (without trailing newline), or std::nullopt when the
   /// stream is exhausted.
@@ -203,9 +205,8 @@ public:
 
   bool done() const { return Idx > Chunks.size() + 1; }
 
-  /// True when \p R asked for streaming and \p Ok response of its op kind
-  /// would stream (dse-sweep / simulate).
-  static bool wantsStream(const Request &R, const Response &Resp);
+  /// True for the streamed wire form, false for one plain line.
+  bool streamed() const { return !ChunkKey.empty(); }
 
 private:
   Response R;

@@ -7,7 +7,6 @@
 
 #include "service/ServiceClient.h"
 
-#include <iostream>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -69,15 +68,10 @@ ClientResponse dahlia::service::decodeResponse(const std::string &Line) {
   C.Raw = *J;
   C.R.Id = J->at("id").asInt();
   const std::string &OpStr = J->at("op").asString();
-  C.R.Kind = OpStr == "estimate"   ? Op::Estimate
-             : OpStr == "lower"    ? Op::Lower
-             : OpStr == "simulate" ? Op::Simulate
-             : OpStr == "dse-sweep" ? Op::DseSweep
-             : OpStr == "metrics"  ? Op::Metrics
-             : OpStr == "watch"    ? Op::Watch
-             : OpStr == "cache-export" ? Op::CacheExport
-             : OpStr == "cache-import" ? Op::CacheImport
-                                   : Op::Check;
+  for (Op O : {Op::Estimate, Op::Lower, Op::Simulate, Op::DseSweep,
+               Op::Metrics, Op::Watch, Op::CacheExport, Op::CacheImport})
+    if (OpStr == opName(O))
+      C.R.Kind = O;
   C.R.Ok = J->at("ok").asBool();
   C.R.Cached = J->at("cached").asBool();
   C.R.ParseReused = J->at("parse_reused").asBool();
@@ -146,15 +140,9 @@ namespace {
 /// Accumulates the wire lines of one logical response, reassembling
 /// streamed sequences (header, chunks, terminal) into the
 /// batch-equivalent JSON. Feed lines in order; a completed reply pops out
-/// of take() after feed() returns true.
+/// of take(), decoded, after feed() returns true.
 class StreamAssembler {
 public:
-  /// \p Strict: unknown records, duplicate/unknown stream chunks, and
-  /// under-covered stream terminals become structured errors instead of
-  /// warn-and-skip (ServiceClient::setStrict; the cluster coordinator's
-  /// mode).
-  explicit StreamAssembler(bool Strict = false) : Strict(Strict) {}
-
   /// Returns true when \p Line completed a logical reply.
   bool feed(const std::string &Line) {
     std::optional<Json> J = Json::parse(Line);
@@ -175,22 +163,14 @@ public:
       }
       // A JSON object that is neither a protocol response (id/op/ok) nor
       // an error payload (errors/message/error — which decodeResponse
-      // surfaces verbatim) is an unknown record kind. Strict mode turns
-      // it into a structured error reply; otherwise skip it with a
-      // warning rather than consuming a reply slot and misattributing
-      // every later response (forward compatibility).
+      // surfaces verbatim) is an unknown record kind: a structured error
+      // reply, never a guess.
       if (!(J->contains("op") && J->contains("ok")) &&
           !J->contains("errors") && !J->contains("message") &&
           !J->contains("error")) {
-        if (Strict) {
-          Done = {errorLine(*J, "strict mode: unknown record: " +
-                                    Line.substr(0, 120)),
-                  false, 0};
-          return true;
-        }
-        std::cerr << "dahlia service client: skipping unknown record: "
-                  << Line.substr(0, 120) << "\n";
-        return false;
+        Done = {errorLine(*J, "unknown record: " + Line.substr(0, 120)),
+                false, 0};
+        return true;
       }
       Done = {Line, false, 0};
       return true;
@@ -199,9 +179,8 @@ public:
     // Inside a stream: chunk or terminal.
     if (J->contains("stream_end")) {
       InStream = false;
-      if (Strict && !Poison.empty()) {
-        Done = {errorLine(*J, "strict mode: " + Poison), true,
-                Chunks.size()};
+      if (!Poison.empty()) {
+        Done = {errorLine(*J, Poison), true, Chunks.size()};
         return true;
       }
       Done = {reassemble(*J), true, Chunks.size()};
@@ -209,34 +188,31 @@ public:
     }
     if (J->contains("front_point")) {
       const Json &P = J->at("front_point");
-      if (Strict) {
-        int64_t Idx = P.at("index").asInt(-1);
-        if (!SeenPointIndices.insert(Idx).second) {
-          if (Poison.empty())
-            Poison = "duplicate front_point chunk for config " +
-                     std::to_string(Idx);
-          return false; // First-wins: the duplicate is not collected.
-        }
+      int64_t Idx = P.at("index").asInt(-1);
+      if (!SeenPointIndices.insert(Idx).second) {
+        if (Poison.empty())
+          Poison = "duplicate front_point chunk for config " +
+                   std::to_string(Idx);
+        return false; // First-wins: the duplicate is not collected.
       }
       Chunks.push_back(P);
     } else if (J->contains("nest")) {
       Chunks.push_back(J->at("nest"));
     } else if (J->contains("progress")) {
       Chunks.push_back(J->at("progress"));
-    } else if (Strict && Poison.empty()) {
-      // Unknown chunk kinds are skipped when lenient (forward
-      // compatibility) but poison a strict stream.
+    } else if (Poison.empty()) {
       Poison = "unknown stream chunk: " + Line.substr(0, 120);
     }
     return false;
   }
 
-  struct Reply {
-    std::string Line;
-    bool Streamed = false;
-    size_t Chunks = 0;
-  };
-  Reply take() { return std::move(Done); }
+  ClientResponse take() {
+    std::string Line = std::move(Done.Line);
+    ClientResponse C = decodeResponse(Line);
+    C.Streamed = Done.Streamed;
+    C.StreamChunks = Done.Chunks;
+    return C;
+  }
 
   /// True between a stream header and its terminal summary — an EOF here
   /// means the server died with a response in flight.
@@ -272,64 +248,65 @@ private:
     Json R = jsonWithoutKey(Terminal, "stream_end");
     const std::string &OpStr = R.at("op").asString();
     if (OpStr == "dse-sweep" && R.at("sweep").isObject()) {
-      // In strict mode the terminal's front membership must be covered
-      // by the collected chunks — a premature stream_end would otherwise
+      // The terminal's front membership must be covered by the
+      // collected chunks — a premature stream_end would otherwise
       // reassemble a silently truncated front.
-      if (Strict && R.at("ok").asBool()) {
+      if (R.at("ok").asBool()) {
         for (const char *Key : {"front", "accepted_front"})
           for (const Json &I : R.at("sweep").at(Key).asArray())
             if (!SeenPointIndices.count(I.asInt(-1)))
               return errorLine(
                   Terminal,
-                  "strict mode: stream ended before front_point chunk "
-                  "for config " + std::to_string(I.asInt(-1)) +
+                  "stream ended before front_point chunk for config " +
+                      std::to_string(I.asInt(-1)) +
                       " arrived (premature stream_end?)");
       }
       if (R.at("sweep").at("shard_count").asInt() > 1) {
         Json Sweep = R.at("sweep");
         Json Points = Json::array();
-        for (const Json &C : Chunks)
-          Points.push_back(C);
+        for (Json &C : Chunks)
+          Points.push_back(std::move(C));
         Sweep["front_points"] = std::move(Points);
         R["sweep"] = std::move(Sweep);
       }
     } else if (OpStr == "simulate" && R.at("sim").isObject()) {
       Json Sim = R.at("sim");
       Json Nests = Json::array();
-      for (const Json &C : Chunks)
-        Nests.push_back(C);
+      for (Json &C : Chunks)
+        Nests.push_back(std::move(C));
       Sim["nests"] = std::move(Nests);
       R["sim"] = std::move(Sim);
     } else if (OpStr == "watch") {
       // A live watch has no batch equivalent; the collected progress
       // records are the stream's whole payload.
       Json Recs = Json::array();
-      for (const Json &C : Chunks)
-        Recs.push_back(C);
+      for (Json &C : Chunks)
+        Recs.push_back(std::move(C));
       R["progress_records"] = std::move(Recs);
     }
     return R.dump();
   }
 
-  bool Strict = false;
   bool InStream = false;
   std::vector<Json> Chunks;
   std::set<int64_t> SeenPointIndices;
-  std::string Poison; ///< First strict-mode violation inside the stream.
-  Reply Done;
+  std::string Poison; ///< First violation inside the stream.
+  struct {
+    std::string Line; ///< Batch-equivalent JSON (reassembled if streamed).
+    bool Streamed = false;
+    size_t Chunks = 0;
+  } Done;
 };
 
 } // namespace
 
-std::vector<ServiceClient::RawReply>
+std::vector<ClientResponse>
 ServiceClient::exchange(const std::vector<std::string> &Lines) {
-  std::vector<RawReply> Result;
-  StreamAssembler Asm(Strict);
+  std::vector<ClientResponse> Result;
+  StreamAssembler Asm;
   auto FeedLine = [&](const std::string &Line) {
-    if (Asm.feed(Line)) {
-      StreamAssembler::Reply R = Asm.take();
-      Result.push_back(RawReply{std::move(R.Line), R.Streamed, R.Chunks});
-    }
+    if (Asm.feed(Line))
+      Result.push_back(Asm.take());
   };
 
   if (Local) {
@@ -337,13 +314,9 @@ ServiceClient::exchange(const std::vector<std::string> &Lines) {
     // same chunked wire form the TCP server emits, so tests exercise the
     // full round trip.
     for (CompileService::BatchEntry &E : Local->processBatchEx(Lines)) {
-      if (E.Req && ResponseStream::wantsStream(*E.Req, E.Resp)) {
-        ResponseStream S(std::move(E.Resp));
-        while (std::optional<std::string> Line = S.next())
-          FeedLine(*Line);
-      } else {
-        FeedLine(E.Resp.toJson().dump());
-      }
+      ResponseStream S(E.Req, std::move(E.Resp));
+      while (std::optional<std::string> Line = S.next())
+        FeedLine(*Line);
     }
     return Result;
   }
@@ -376,22 +349,16 @@ ServiceClient::exchange(const std::vector<std::string> &Lines) {
     Response Dead;
     Dead.Ok = false;
     Dead.Errors.push_back(Error(ErrorKind::Internal, Why));
-    std::string DeadLine = Dead.toJson().dump();
+    ClientResponse DeadReply = decodeResponse(Dead.toJson().dump());
     while (Result.size() != Lines.size())
-      Result.push_back(RawReply{DeadLine, false, 0});
+      Result.push_back(DeadReply);
   }
   return Result;
 }
 
 ClientResponse ServiceClient::call(Request R) {
-  std::vector<ClientResponse> Rs = callBatch({std::move(R)});
-  if (Rs.empty()) {
-    ClientResponse C;
-    C.R.Ok = false;
-    C.R.Errors.push_back(Error(ErrorKind::Internal, "no response"));
-    return C;
-  }
-  return std::move(Rs.front());
+  // callBatch answers every slot (a lost reply is a structured error).
+  return std::move(callBatch({std::move(R)}).front());
 }
 
 std::vector<ClientResponse> ServiceClient::callBatch(std::vector<Request> Rs) {
@@ -406,10 +373,7 @@ std::vector<ClientResponse> ServiceClient::callBatch(std::vector<Request> Rs) {
 
   std::vector<ClientResponse> Decoded(Rs.size());
   size_t Cursor = 0;
-  for (const RawReply &Reply : exchange(Lines)) {
-    ClientResponse C = decodeResponse(Reply.Line);
-    C.Streamed = Reply.Streamed;
-    C.StreamChunks = Reply.Chunks;
+  for (ClientResponse &C : exchange(Lines)) {
     auto It = IdToIndex.find(C.R.Id);
     size_t Slot = It != IdToIndex.end() ? It->second : Cursor;
     if (Slot < Decoded.size())

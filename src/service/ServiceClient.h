@@ -23,6 +23,14 @@
 /// the batch-equivalent response (byte-identical `sweep`/`sim` objects),
 /// flagging it with ClientResponse::Streamed.
 ///
+/// Decoding is strict: an unknown record, a duplicate front_point chunk,
+/// an unknown chunk kind inside a stream, or a stream whose terminal
+/// front indices are not all covered by the collected chunks (a
+/// premature `stream_end`) becomes a structured ok=false response. A
+/// hostile or corrupted server surfaces as an error the caller can
+/// retry (the DSE cluster coordinator does), never as a silently wrong
+/// front.
+///
 /// Malformed response lines never vanish into a generic parse failure:
 /// when the server (or a proxy) answers with JSON that is not a protocol
 /// response, the client surfaces the payload's own `message`/`errors`
@@ -64,17 +72,6 @@ public:
   ServiceClient(std::istream &In, std::ostream &Out);
   ~ServiceClient();
 
-  /// Strict decoding: instead of warning-and-skipping, an unknown
-  /// record, a duplicate front_point chunk, an unknown chunk kind inside
-  /// a stream, or a stream whose terminal front indices are not all
-  /// covered by the collected chunks (a premature `stream_end`) becomes a
-  /// structured ok=false response. The DSE cluster coordinator runs in
-  /// strict mode: a hostile or corrupted worker must surface as an error
-  /// it can retry, never as a silently wrong front. Default off —
-  /// interactive clients keep the forward-compatible skip.
-  void setStrict(bool S) { Strict = S; }
-  bool strict() const { return Strict; }
-
   /// Sends one request and waits for its response. The request's id is
   /// overwritten with a fresh one.
   ClientResponse call(Request R);
@@ -112,20 +109,14 @@ public:
                        double IntervalMs = 0);
 
 private:
-  /// One logical reply: a plain response line, or a reassembled stream.
-  struct RawReply {
-    std::string Line; ///< Batch-equivalent JSON (reassembled if streamed).
-    bool Streamed = false;
-    size_t Chunks = 0;
-  };
-
-  std::vector<RawReply> exchange(const std::vector<std::string> &Lines);
+  /// Sends \p Lines as one epoch and decodes the logical replies (plain
+  /// lines or reassembled streams) in arrival order.
+  std::vector<ClientResponse> exchange(const std::vector<std::string> &Lines);
 
   CompileService *Local = nullptr;
   std::istream *In = nullptr;
   std::ostream *Out = nullptr;
   int64_t NextId = 1;
-  bool Strict = false;
 };
 
 } // namespace dahlia::service

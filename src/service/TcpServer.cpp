@@ -369,14 +369,10 @@ void TcpServer::dispatchEpochs() {
             metrics::counter("server.watch_streams");
         StreamsC.inc();
         ++Streamed;
-      } else if (E.Req && ResponseStream::wantsStream(*E.Req, E.Resp)) {
-        It->second.OutQ.push_back(OutItem{
-            std::string(),
-            std::make_unique<ResponseStream>(std::move(E.Resp))});
-        ++Streamed;
       } else {
-        It->second.OutQ.push_back(
-            OutItem{E.Resp.toJson().dump() + "\n", nullptr});
+        auto S = std::make_unique<ResponseStream>(E.Req, std::move(E.Resp));
+        Streamed += S->streamed();
+        It->second.OutQ.push_back(OutItem{std::string(), std::move(S)});
       }
     }
     {

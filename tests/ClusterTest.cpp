@@ -343,6 +343,42 @@ TEST(Cluster, HostileChunkStreamsAreRetriedNeverMerged) {
   }
 }
 
+TEST(Cluster, ReplyMissingItsOwnFrontPointsIsRetriedNeverMerged) {
+  // A plain reply that echoes the requested shard but ships no point for
+  // a member of its own front (a truncated or lying worker) must fail
+  // the shard-front check and be retried, never merged as an empty
+  // partial front. One worker, so its first connection gets shard 0.
+  if (!haveSockets())
+    GTEST_SKIP() << "no sockets on this platform";
+  constexpr size_t Limit = 120;
+  Json Ref = singleMachineSweep(Limit);
+
+  FaultOptions FO;
+  FO.Mode = FaultMode::Scripted;
+  FO.TriggerConnections = 1;
+  FO.Script = {
+      R"({"id":1,"op":"dse-sweep","ok":true,"sweep":{"front":[0],)"
+      R"("accepted_front":[],"shard_index":0,"shard_count":3,)"
+      R"("explored":1,"front_points":[]}})"};
+  service::ServiceOptions SO;
+  SO.Threads = 2;
+  FaultyWorker Worker(FO, SO);
+  ASSERT_TRUE(Worker.start());
+
+  ClusterOptions O = baseOptions(Limit);
+  WorkerSpec W;
+  W.Port = Worker.port();
+  O.Workers = {W};
+  O.Shards = 3;
+  O.Retry = 5;
+  ClusterResult R = ClusterCoordinator(std::move(O)).run();
+  Worker.stop();
+
+  expectMatchesReference(R, Ref);
+  EXPECT_EQ(R.Stats.Retries, 1u);
+  EXPECT_EQ(Worker.faultsInjected(), 1u);
+}
+
 TEST(Cluster, DuplicateCompletionFingerprintMismatchFailsLoudly) {
   if (!haveSockets())
     GTEST_SKIP() << "no sockets on this platform";

@@ -217,7 +217,7 @@ TEST(ProtoFuzz, ClusterDialectSmallSoakIsClean) {
 TEST(ProtoFuzz, ClusterCorpusRepliesDecodeToStructuredErrors) {
   // Minimized wire-level finds from the cluster dialect: each .lines
   // script is a hostile worker's reply stream, pinned forever. Replay
-  // through the strict client decoder — exactly how the coordinator
+  // through the client decoder — exactly how the coordinator
   // reads a shard — and require a structured error, never an Ok sweep.
   std::filesystem::path Dir = DAHLIA_FUZZ_CORPUS_DIR;
   ASSERT_TRUE(std::filesystem::is_directory(Dir)) << Dir;
@@ -235,7 +235,6 @@ TEST(ProtoFuzz, ClusterCorpusRepliesDecodeToStructuredErrors) {
     std::istringstream Responses(Wire);
     std::ostringstream Requests;
     service::ServiceClient C(Responses, Requests);
-    C.setStrict(true);
     service::Request R;
     R.Kind = service::Op::DseSweep;
     R.Space = "gemm-blocked";

@@ -17,7 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
 #include <memory>
 
 using namespace dahlia;
@@ -300,14 +300,8 @@ TEST(ShardMerge, ThreeShardsReproduceTheWholeFrontAtAnyThreadCount) {
     EXPECT_EQ(M.Front, Whole.Front) << Threads << " threads/shard";
     EXPECT_EQ(M.AcceptedFront, Whole.AcceptedFront)
         << Threads << " threads/shard";
-
-    std::map<size_t, Objectives> ObjByIndex;
-    for (const FrontPoint &FP : Points)
-      ObjByIndex[FP.Index] = FP.Obj;
-    auto MergedObj = [&](size_t I) -> const Objectives & {
-      return ObjByIndex.at(I);
-    };
-    EXPECT_EQ(frontHash(M.Front, MergedObj), WholeHash)
+    EXPECT_EQ(M.FrontHash, WholeHash) << Threads << " threads/shard";
+    EXPECT_EQ(M.AcceptedFrontHash, frontHash(Whole.AcceptedFront, WholeObj))
         << Threads << " threads/shard";
   }
 }
@@ -388,6 +382,158 @@ TEST(ShardMerge, MalformedFrontPointsAreRejectedNotDefaulted) {
                    .first); // non-numeric objective
   EXPECT_FALSE(Parse(R"([42])").first);
   EXPECT_FALSE(Parse(R"({"index":1})").first); // not an array
+}
+
+/// A shard's sweep object with \p Points as its front_points, all of
+/// them on its front and the accepted ones on its accepted front.
+Json shardSweep(Json Index, Json Count, const std::vector<FrontPoint> &Points) {
+  Json S = Json::object();
+  S["shard_index"] = std::move(Index);
+  S["shard_count"] = std::move(Count);
+  S["front_points"] = frontPointsToJson(Points);
+  S["front"] = Json::array();
+  S["accepted_front"] = Json::array();
+  for (const FrontPoint &P : Points) {
+    S["front"].push_back(static_cast<int64_t>(P.Index));
+    if (P.Accepted)
+      S["accepted_front"].push_back(static_cast<int64_t>(P.Index));
+  }
+  return S;
+}
+
+/// The first \p N configs shard \p Shard owns, each with distinct
+/// objectives (a latency/LUT trade-off, so all of them are on the front)
+/// and alternating verdicts.
+std::vector<FrontPoint> ownedPoints(ShardSpec Shard, size_t N) {
+  std::vector<FrontPoint> Out;
+  for (size_t I = 0; Out.size() != N; ++I)
+    if (Shard.shardOf(I) == Shard.Index) {
+      FrontPoint P;
+      P.Index = I;
+      P.Obj.Latency = 100.0 - static_cast<double>(Out.size());
+      P.Obj.Lut = 10.0 + static_cast<double>(Out.size());
+      P.Accepted = Out.size() % 2 == 0;
+      Out.push_back(P);
+    }
+  return Out;
+}
+
+size_t foreignIndex(ShardSpec Shard) {
+  size_t I = 0;
+  while (Shard.shardOf(I) == Shard.Index)
+    ++I;
+  return I;
+}
+
+TEST(ShardMerge, ShardFrontParserSortsAndRejectsEveryMalformedShard) {
+  const ShardSpec Shard{1, 3};
+  std::vector<FrontPoint> Points = ownedPoints(Shard, 6);
+  std::vector<FrontPoint> Reversed(Points.rbegin(), Points.rend());
+
+  // Valid input: the same sorted points whatever the wire order.
+  std::string Err;
+  for (const std::vector<FrontPoint> *In : {&Points, &Reversed}) {
+    std::optional<ShardFront> F =
+        parseShardFront(shardSweep(1, 3, *In), &Err);
+    ASSERT_TRUE(F) << Err;
+    EXPECT_EQ(F->Shard.Index, 1u);
+    EXPECT_EQ(F->Shard.Count, 3u);
+    ASSERT_EQ(F->Points.size(), Points.size());
+    for (size_t K = 0; K != Points.size(); ++K) {
+      EXPECT_EQ(F->Points[K].Index, Points[K].Index);
+      EXPECT_EQ(F->Points[K].Accepted, Points[K].Accepted);
+      EXPECT_TRUE(equalObjectives(F->Points[K].Obj, Points[K].Obj));
+    }
+    EXPECT_EQ(frontPointsFingerprint(F->Points),
+              frontPointsFingerprint(Points));
+  }
+
+  auto Rejects = [&](const Json &Sweep, const std::string &Expect) {
+    std::string Why;
+    EXPECT_FALSE(parseShardFront(Sweep, &Why)) << Expect;
+    EXPECT_NE(Why.find(Expect), std::string::npos) << Why;
+  };
+  std::vector<FrontPoint> Dup = Points;
+  Dup.push_back(Points[2]);
+  Dup.back().Obj.Latency = 1.0; // A different vector for the same config.
+  Rejects(shardSweep(1, 3, Dup), "duplicate front point for config " +
+                                     std::to_string(Points[2].Index));
+  std::vector<FrontPoint> Foreign = Points;
+  Foreign.push_back(Points[0]);
+  Foreign.back().Index = foreignIndex(Shard);
+  Rejects(shardSweep(1, 3, Foreign),
+          "front point " + std::to_string(Foreign.back().Index) +
+              " is outside the shard's partition");
+  for (auto [Index, Count] : {std::pair<int, int>{3, 3},
+                              {4, 3},
+                              {-1, 3},
+                              {0, 0}})
+    Rejects(shardSweep(Index, Count, {}), "is not a shard spec");
+  Rejects(shardSweep("1", 3, Points), "is not a shard spec");
+  Json Missing = Json::object();
+  Missing["shard_index"] = 1;
+  Missing["shard_count"] = 3;
+  Rejects(Missing, "carries no front_points");
+  Json NotArray = shardSweep(1, 3, Points);
+  NotArray["front_points"] = Json::object();
+  Rejects(NotArray, "malformed front_points");
+
+  // The points must be exactly the sweep's own front members: a reply
+  // listing a member it sent no point for (a truncated front), or a
+  // point on neither list, is refused.
+  Json Dropped = shardSweep(1, 3, Points);
+  Dropped["front_points"] = frontPointsToJson(
+      std::vector<FrontPoint>(Points.begin(), Points.end() - 1));
+  Rejects(Dropped, "front_points differ from its front and accepted_front");
+  Json Extra = shardSweep(1, 3, Points);
+  Extra["front"] = Json::array();
+  Rejects(Extra, "front_points differ from its front and accepted_front");
+  Json NoLists = shardSweep(1, 3, Points);
+  NoLists["accepted_front"] = Json();
+  Rejects(NoLists, "carries no accepted_front list");
+}
+
+TEST(ShardMerge, MergedHashesCoverTheObjectivesTheMergeKept) {
+  // Two shards' points in any order merge to the same fronts, and the
+  // merged hashes are frontHash over each surviving member's vector.
+  std::vector<FrontPoint> A = ownedPoints(ShardSpec{0, 2}, 4);
+  std::vector<FrontPoint> B = ownedPoints(ShardSpec{1, 2}, 4);
+  B[1].Obj.Latency = 1000.0; // Dominated by A's points: off the front.
+  std::vector<FrontPoint> AB = A, BA = B;
+  AB.insert(AB.end(), B.begin(), B.end());
+  BA.insert(BA.end(), A.rbegin(), A.rend());
+  MergedFronts M1 = mergeFrontPoints(AB), M2 = mergeFrontPoints(BA);
+  EXPECT_EQ(M1.Front, M2.Front);
+  EXPECT_EQ(M1.AcceptedFront, M2.AcceptedFront);
+  EXPECT_EQ(M1.FrontHash, M2.FrontHash);
+  EXPECT_EQ(M1.AcceptedFrontHash, M2.AcceptedFrontHash);
+  EXPECT_EQ(std::count(M1.Front.begin(), M1.Front.end(), B[1].Index), 0);
+
+  auto ObjOf = [&](size_t I) -> const Objectives & {
+    for (const FrontPoint &P : AB)
+      if (P.Index == I)
+        return P.Obj;
+    ADD_FAILURE() << "no point " << I;
+    return AB.front().Obj;
+  };
+  EXPECT_EQ(M1.FrontHash, frontHash(M1.Front, ObjOf));
+  EXPECT_EQ(M1.AcceptedFrontHash, frontHash(M1.AcceptedFront, ObjOf));
+}
+
+TEST(ShardMerge, FingerprintCoversTheAcceptedBit) {
+  // Speculative duplicates are cross-checked by fingerprint: a reply that
+  // differs only in one point's verdict must not pass as the same shard.
+  std::vector<FrontPoint> Points = ownedPoints(ShardSpec{0, 1}, 5);
+  uint64_t Base = frontPointsFingerprint(Points);
+  EXPECT_EQ(frontPointsFingerprint(Points), Base);
+  for (size_t K = 0; K != Points.size(); ++K) {
+    std::vector<FrontPoint> Flipped = Points;
+    Flipped[K].Accepted = !Flipped[K].Accepted;
+    EXPECT_NE(frontPointsFingerprint(Flipped), Base) << K;
+  }
+  std::vector<FrontPoint> Moved = Points;
+  Moved[2].Obj.Dsp += 1.0;
+  EXPECT_NE(frontPointsFingerprint(Moved), Base);
 }
 
 } // namespace

@@ -1100,23 +1100,25 @@ TEST(Service, SlowRequestLogCarriesSweepFields) {
   EXPECT_TRUE(Sweep->contains("latency_ms"));
 }
 
-TEST(Client, SkipsUnknownRecordsInStreamTransport) {
+TEST(Client, UnknownRecordsAreErrorsInStreamTransport) {
   // A record the protocol does not model (no op/ok envelope, no error
-  // payload) is skipped with a warning; the real response behind it
-  // still lands. Error payloads keep their pinned surfacing behavior.
+  // payload) becomes a structured error reply naming it — a coordinator
+  // merging shard fronts cannot guess around gossip. Error payloads keep
+  // their pinned surfacing behavior.
   {
     std::istringstream In("{\"notice\":\"server gossip\",\"id\":1}\n"
                           "{\"id\":1,\"op\":\"check\",\"ok\":true}\n");
     std::ostringstream Out;
     ServiceClient C(In, Out);
-    testing::internal::CaptureStderr();
     ClientResponse R = C.check(AcceptedSrc);
-    std::string Warn = testing::internal::GetCapturedStderr();
-    EXPECT_TRUE(R.R.Ok);
-    EXPECT_TRUE(R.R.Errors.empty());
-    EXPECT_NE(Warn.find("skipping unknown record"), std::string::npos)
-        << Warn;
-    EXPECT_NE(Warn.find("server gossip"), std::string::npos) << Warn;
+    EXPECT_FALSE(R.R.Ok);
+    ASSERT_FALSE(R.R.Errors.empty());
+    EXPECT_NE(R.R.Errors[0].message().find("unknown record"),
+              std::string::npos)
+        << R.R.Errors[0].message();
+    EXPECT_NE(R.R.Errors[0].message().find("server gossip"),
+              std::string::npos)
+        << R.R.Errors[0].message();
   }
   {
     // An error payload is consumed as the reply and surfaced verbatim.
@@ -1131,28 +1133,10 @@ TEST(Client, SkipsUnknownRecordsInStreamTransport) {
   }
 }
 
-TEST(Client, StrictModeTurnsUnknownRecordsIntoErrors) {
-  // The cluster coordinator's decoding mode: what the lenient client
-  // warns-and-skips (previous test) must become a structured error — a
-  // coordinator merging shard fronts cannot guess around gossip.
-  std::istringstream In("{\"notice\":\"server gossip\",\"id\":1}\n"
-                        "{\"id\":1,\"op\":\"check\",\"ok\":true}\n");
-  std::ostringstream Out;
-  ServiceClient C(In, Out);
-  C.setStrict(true);
-  ClientResponse R = C.check(AcceptedSrc);
-  EXPECT_FALSE(R.R.Ok);
-  ASSERT_FALSE(R.R.Errors.empty());
-  EXPECT_NE(R.R.Errors[0].message().find("unknown record"),
-            std::string::npos)
-      << R.R.Errors[0].message();
-}
-
-TEST(Client, StrictModeRejectsHostileSweepStreams) {
-  // Four ways a hostile (or buggy) worker can mangle a streamed sweep
-  // without breaking JSON framing. Lenient decoding tolerates the first
-  // two for forward compatibility; strict mode must refuse all four with
-  // an error naming the violation — never reassemble a wrong sweep.
+TEST(Client, RejectsHostileSweepStreams) {
+  // Three ways a hostile (or buggy) worker can mangle a streamed sweep
+  // without breaking JSON framing. The client must refuse each with an
+  // error naming the violation — never reassemble a wrong sweep.
   const std::string Header =
       R"({"id":1,"op":"dse-sweep","stream":true})" "\n";
   const std::string Point0 =
@@ -1169,47 +1153,30 @@ TEST(Client, StrictModeRejectsHostileSweepStreams) {
     const char *Name;
     std::string Wire;
     const char *Expect;
-    bool LenientOk;
   } Cases[] = {
       {"duplicate front_point chunk", Header + Point0 + Point0 + TermFront0,
-       "duplicate front_point chunk", true},
+       "duplicate front_point chunk"},
       {"unknown stream chunk",
        Header + "{\"id\":1,\"chunk\":\"garbage\"}\n" + Point0 + TermFront0,
-       "unknown stream chunk", true},
+       "unknown stream chunk"},
       {"premature stream_end", Header + Point0 + TermFront05,
-       "premature stream_end", true},
+       "premature stream_end"},
   };
 
   for (const Case &TC : Cases) {
     SCOPED_TRACE(TC.Name);
-    {
-      std::istringstream In(TC.Wire);
-      std::ostringstream Out;
-      ServiceClient C(In, Out);
-      C.setStrict(true);
-      Request R;
-      R.Kind = Op::DseSweep;
-      R.Space = "gemm-blocked";
-      R.Stream = true;
-      ClientResponse Resp = C.call(std::move(R));
-      EXPECT_FALSE(Resp.R.Ok);
-      ASSERT_FALSE(Resp.R.Errors.empty());
-      EXPECT_NE(Resp.R.Errors[0].message().find(TC.Expect),
-                std::string::npos)
-          << Resp.R.Errors[0].message();
-    }
-    {
-      // The same wire decoded leniently: skipped, not fatal.
-      std::istringstream In(TC.Wire);
-      std::ostringstream Out;
-      ServiceClient C(In, Out);
-      Request R;
-      R.Kind = Op::DseSweep;
-      R.Space = "gemm-blocked";
-      R.Stream = true;
-      ClientResponse Resp = C.call(std::move(R));
-      EXPECT_EQ(Resp.R.Ok, TC.LenientOk);
-    }
+    std::istringstream In(TC.Wire);
+    std::ostringstream Out;
+    ServiceClient C(In, Out);
+    Request R;
+    R.Kind = Op::DseSweep;
+    R.Space = "gemm-blocked";
+    R.Stream = true;
+    ClientResponse Resp = C.call(std::move(R));
+    EXPECT_FALSE(Resp.R.Ok);
+    ASSERT_FALSE(Resp.R.Errors.empty());
+    EXPECT_NE(Resp.R.Errors[0].message().find(TC.Expect), std::string::npos)
+        << Resp.R.Errors[0].message();
   }
 }
 
